@@ -76,14 +76,13 @@ use er_core::workload::{Label, Workload};
 use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator};
 use er_pipeline::{PipelineConfig, ResolutionEngine, ResolutionSession, ResolutionStep};
 use humo::crowd::mix;
-use humo::wal::{read_log, WalRecord};
+use humo::wal::{fold, read_log};
 use humo::{
     Aggregation, CrowdSession, HumoError, LabelRequest, LabelResponse, OptimizationOutcome,
-    QualityRequirement, Redundancy, SessionConfig, SessionState, Step, VoteRequest, WarmStart,
-    WorkerModel, WorkerVote,
+    QualityRequirement, Redundancy, Step, VoteRequest, WorkerModel, WorkerVote,
 };
 use humo_bench::BenchConfig;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
@@ -304,69 +303,31 @@ enum LogShape {
     Empty,
 }
 
-/// Scans a tenant's log. For a trailing committed epoch, replays it through
-/// [`SessionState::resume`]: the answered log is a complete checkpoint, so
-/// the replay re-derives the byte-identical outcome without any extra labels.
-/// Earlier committed epochs contribute their labels as preloads, mirroring
-/// the engine's cross-epoch label store.
+/// Scans a tenant's log through [`humo::wal::fold`]. For a trailing committed
+/// epoch, replays it through [`humo::wal::Epoch::resume`] (which refuses a
+/// workload of a different length): the answered log is a complete
+/// checkpoint, so the replay re-derives the byte-identical outcome without
+/// any extra labels. Earlier committed epochs contribute their labels as
+/// preloads, mirroring the engine's cross-epoch label store, and the replay
+/// takes the engine's all-human fallback at the same point the original
+/// session did.
 fn scan_log(workload: &Workload, path: &Path) -> humo::Result<LogShape> {
     if !path.exists() {
         return Ok(LogShape::Empty);
     }
-    let recovery = read_log(path)?;
-    let mut store: BTreeMap<er_core::workload::PairId, Label> = BTreeMap::new();
-    let mut last: Option<(SessionConfig, Option<WarmStart>, Vec<LabelResponse>)> = None;
-    let mut open: Option<(SessionConfig, Option<WarmStart>, Vec<LabelResponse>)> = None;
-    for record in recovery.records {
-        match record {
-            WalRecord::SessionBegin { config, warm, .. } => {
-                open = Some((config, warm, Vec::new()));
-            }
-            WalRecord::Labels(batch) => {
-                if let Some((_, _, log)) = &mut open {
-                    log.extend(batch);
-                }
-            }
-            WalRecord::Commit { .. } => {
-                if let Some(group) = open.take() {
-                    if let Some((_, _, log)) = last.replace(group) {
-                        for response in log {
-                            store.insert(response.pair_id, response.label);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if open.is_some() {
+    let mut epochs = fold(read_log(path)?.records)?;
+    let Some(last) = epochs.pop() else { return Ok(LogShape::Empty) };
+    if !last.committed {
         return Ok(LogShape::InFlight);
     }
-    let Some((config, warm, log)) = last else { return Ok(LogShape::Empty) };
-    let preload = |state: &mut SessionState| {
-        state.preload(store.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
-    };
-    let mut state = SessionState::resume(config, workload, &log)?.with_warm_start(warm);
-    preload(&mut state);
-    let mut fell_back = false;
-    loop {
-        match state.poll(workload) {
-            Ok(Step::Done(outcome)) => return Ok(LogShape::Committed(Box::new(outcome))),
-            Ok(Step::NeedLabels(_)) => {
-                return Err(HumoError::Wal(
-                    "committed epoch's log does not replay to completion".to_string(),
-                ))
-            }
-            // Mirror the engine's deterministic all-human fallback: the
-            // degeneracy is a property of the data, so the original session
-            // fell back at exactly this point too.
-            Err(HumoError::Stats(_)) if !fell_back => {
-                let log = state.answered_log().to_vec();
-                let mut next = SessionState::resume(SessionConfig::AllHuman, workload, &log)?;
-                preload(&mut next);
-                state = next;
-                fell_back = true;
-            }
-            Err(e) => return Err(e),
+    let mut state = last.resume(workload)?;
+    // Latest epoch first: preloads keep the first label per pair, the
+    // engine's store keeps the last.
+    state.preload(epochs.iter().rev().flat_map(|epoch| epoch.labels.iter().copied()));
+    match state.poll_with_fallback(workload)? {
+        Step::Done(outcome) => Ok(LogShape::Committed(Box::new(outcome))),
+        Step::NeedLabels(_) => {
+            Err(HumoError::Wal("committed epoch's log does not replay to completion".to_string()))
         }
     }
 }
@@ -737,5 +698,80 @@ fn main() {
     print_summaries(&summaries);
     if default_wal_dir && !params.resume {
         let _ = std::fs::remove_dir_all(&params.wal_dir);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
+    use humo::wal::{WalRecord, WalWriter};
+    use humo::SessionConfig;
+
+    fn workload(n: usize) -> Workload {
+        SyntheticGenerator::new(SyntheticConfig::new(n, 14.0, 0.1)).generate()
+    }
+
+    /// Writes `records` to a fresh log in a unique temp directory.
+    fn write_log(name: &str, records: &[WalRecord]) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("humo-labeling-service-test-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tenant-0.hal");
+        let mut writer = WalWriter::create(&path).unwrap();
+        for record in records {
+            writer.append(record).unwrap();
+        }
+        path
+    }
+
+    fn all_human_epoch(workload: &Workload, workload_len: u64) -> Vec<WalRecord> {
+        let labels = workload
+            .iter()
+            .map(|pair| LabelResponse { pair_id: pair.id(), label: pair.ground_truth() })
+            .collect();
+        vec![
+            WalRecord::SessionBegin { workload_len, config: SessionConfig::AllHuman, warm: None },
+            WalRecord::Labels(labels),
+            WalRecord::Commit { warm: None },
+        ]
+    }
+
+    #[test]
+    fn committed_epochs_replay_only_over_a_workload_of_their_length() {
+        let w = workload(400);
+        let path = write_log("length", &all_human_epoch(&w, 400));
+        let Ok(LogShape::Committed(outcome)) = scan_log(&w, &path) else {
+            panic!("a committed all-human epoch replays to its outcome");
+        };
+        assert_eq!(outcome.total_human_cost, w.len());
+
+        let smaller = workload(300);
+        match scan_log(&smaller, &path) {
+            Err(HumoError::Wal(message)) => {
+                assert!(message.contains("400") && message.contains("300"), "{message}")
+            }
+            other => {
+                panic!("replay over a 300-pair workload must be refused, got {:?}", other.err())
+            }
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn malformed_logs_are_refused_like_the_engine_refuses_them() {
+        let w = workload(400);
+        let begin = || WalRecord::SessionBegin {
+            workload_len: 400,
+            config: SessionConfig::AllHuman,
+            warm: None,
+        };
+        let labels_outside = vec![WalRecord::Labels(Vec::new()), begin()];
+        let double_begin = vec![begin(), begin(), WalRecord::Commit { warm: None }];
+        for (name, records) in [("outside", labels_outside), ("double", double_begin)] {
+            let path = write_log(name, &records);
+            assert!(matches!(scan_log(&w, &path), Err(HumoError::Wal(_))), "{name}");
+            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        }
     }
 }

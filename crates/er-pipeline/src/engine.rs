@@ -37,9 +37,9 @@ use er_core::text::Tokenizer;
 use er_core::workload::{InstancePair, Label, PairId, QualityMetrics, Workload};
 use er_obs::ObsHandle;
 use humo::sampling::WarmStart;
-use humo::wal::{WalRecord, WalWriter};
+use humo::wal::{self, WalRecord, WalWriter};
 use humo::{
-    HumoError, LabelRequest, LabelResponse, OptimizationOutcome, Oracle, PartialSamplingConfig,
+    LabelRequest, LabelResponse, OptimizationOutcome, Oracle, PartialSamplingConfig,
     PartialSamplingOptimizer, QualityRequirement, SessionConfig, SessionState, Step,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -323,22 +323,17 @@ impl ResolutionEngine {
         self.wal.is_some()
     }
 
-    /// Appends a record to the attached WAL (no-op without one), emitting the
-    /// `session.wal.*` observability counters.
+    /// Appends a record to the attached WAL (no-op without one).
     fn wal_append(&mut self, record: &WalRecord) -> Result<()> {
-        let Some(wal) = &mut self.wal else { return Ok(()) };
-        let bytes = wal.append(record)?;
-        let obs = &self.config.recorder;
-        obs.counter("session.wal.appends", 1);
-        obs.counter("session.wal.bytes", bytes);
-        match record {
-            WalRecord::Labels(responses) => {
-                obs.counter("session.wal.labels", responses.len() as u64)
-            }
-            WalRecord::Commit { .. } => obs.counter("session.wal.commits", 1),
-            WalRecord::SessionBegin { .. } => {}
+        match &mut self.wal {
+            Some(wal) => Ok(wal.append_observed(&self.workload, record)?),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// The engine's cross-epoch label store, as preloads for a new session.
+    fn label_store(&self) -> impl Iterator<Item = LabelResponse> + '_ {
+        self.labels.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label })
     }
 
     /// Rebuilds the engine's durable labeling state from a write-ahead label
@@ -348,83 +343,29 @@ impl ResolutionEngine {
     /// The engine must already hold the same workload the dead process held —
     /// i.e. the caller re-ingests the same record batches first; ingest is
     /// deterministic, so this reproduces the workload bit-exactly. The replay
-    /// then folds every *committed* epoch's labels (and the latest warm
-    /// start) into the engine's cross-epoch state, and — when the log ends in
-    /// an in-flight epoch — rebuilds that mid-flight session and returns it:
-    /// driving it to completion produces the byte-identical outcome the dead
-    /// process was heading for. Returns `Ok(None)` when the log holds no
-    /// in-flight epoch (resume with [`ResolutionEngine::begin_resolve`] as
-    /// usual).
+    /// ([`humo::wal::fold`]) then folds every *committed* epoch's labels (and
+    /// the latest warm start) into the engine's cross-epoch state, and — when
+    /// the log ends in an in-flight epoch — rebuilds that mid-flight session
+    /// and returns it: driving it to completion produces the byte-identical
+    /// outcome the dead process was heading for. Returns `Ok(None)` when the
+    /// log holds no in-flight epoch (resume with
+    /// [`ResolutionEngine::begin_resolve`] as usual).
     pub fn resume(&mut self, path: impl AsRef<Path>) -> Result<Option<ResolutionSession<'_>>> {
-        let (wal, recovery) = WalWriter::recover(path)?;
-        let obs = self.config.recorder.clone();
-        obs.counter("session.wal.resumes", 1);
-        // Fold the log: committed epochs land in the engine's label store and
-        // warm state; a trailing uncommitted epoch stays open for rebuild.
-        let mut open: Option<(u64, SessionConfig, Option<WarmStart>, Vec<LabelResponse>)> = None;
-        for record in recovery.records {
-            match record {
-                WalRecord::SessionBegin { workload_len, config, warm } => {
-                    if open.is_some() {
-                        return Err(HumoError::Wal(
-                            "log opens a session before committing the previous one".to_string(),
-                        )
-                        .into());
-                    }
-                    open = Some((workload_len, config, warm, Vec::new()));
-                }
-                WalRecord::Labels(responses) => match &mut open {
-                    Some((.., log)) => log.extend(responses),
-                    None => {
-                        return Err(HumoError::Wal(
-                            "log holds labels outside any session".to_string(),
-                        )
-                        .into())
-                    }
-                },
-                WalRecord::Commit { warm } => {
-                    let Some((.., log)) = open.take() else {
-                        return Err(HumoError::Wal(
-                            "log holds a commit outside any session".to_string(),
-                        )
-                        .into());
-                    };
-                    for response in log {
-                        self.labels.insert(response.pair_id, response.label);
-                    }
-                    if let Some(warm) = warm {
-                        self.warm = Some(warm);
-                    }
-                }
+        let (log, recovery) = WalWriter::recover(path)?;
+        self.config.recorder.counter("session.wal.resumes", 1);
+        let mut epochs = wal::fold(recovery.records)?;
+        let open = epochs.pop_if(|epoch| !epoch.committed);
+        for epoch in epochs {
+            self.labels.extend(epoch.labels.iter().map(|r| (r.pair_id, r.label)));
+            if let Some(warm) = epoch.next_warm {
+                self.warm = Some(warm);
             }
         }
-        self.wal = Some(wal);
-        let Some((workload_len, config, warm, log)) = open else {
-            return Ok(None);
-        };
-        if workload_len != self.workload.len() as u64 {
-            return Err(HumoError::Wal(format!(
-                "in-flight session ran over a {workload_len}-pair workload, \
-                 engine holds {} pairs — re-ingest the same batches first",
-                self.workload.len()
-            ))
-            .into());
-        }
-        let used_warm = warm.as_ref().is_some_and(|w| !w.is_empty());
-        let fallback = matches!(config, SessionConfig::AllHuman);
-        let mut state = SessionState::resume(config, &self.workload, &log)?.with_warm_start(warm);
-        state
-            .preload(self.labels.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
-        Ok(Some(ResolutionSession {
-            engine: self,
-            state,
-            completed_rounds: 0,
-            completed_plan_rounds: 0,
-            completed_refine_rounds: 0,
-            used_warm_start: used_warm,
-            fallback_all_human: fallback,
-            report: None,
-        }))
+        self.wal = Some(log);
+        let Some(open) = open else { return Ok(None) };
+        let mut state = open.resume(&self.workload)?;
+        state.preload(self.label_store());
+        Ok(Some(ResolutionSession { engine: self, state, report: None }))
     }
 
     /// The current similarity-sorted workload.
@@ -627,40 +568,22 @@ impl ResolutionEngine {
         // optimizer; resolving them entirely by hand is exact, deterministic
         // and — at this size — cheap.
         let too_small = self.workload.len() < 2 * self.config.optimizer.unit_size;
-        let (mut state, session_config, warm, used_warm, fallback) = if too_small {
-            (
-                SessionState::new(SessionConfig::AllHuman)?,
-                SessionConfig::AllHuman,
-                None,
-                false,
-                true,
-            )
+        let mut state = if too_small {
+            SessionState::new(SessionConfig::AllHuman)?
         } else {
             let warm = if self.config.warm_start { self.warm.clone() } else { None };
-            let used_warm = warm.as_ref().is_some_and(|w| !w.is_empty());
-            let config = SessionConfig::PartialSampling(self.config.optimizer);
-            let state = SessionState::new(config)?.with_warm_start(warm.clone());
-            (state, config, warm, used_warm, false)
+            SessionState::new(SessionConfig::PartialSampling(self.config.optimizer))?
+                .with_warm_start(warm)
         };
-        state
-            .preload(self.labels.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
+        state.preload(self.label_store());
         // Write-ahead: the epoch's inputs (configuration + warm start) go to
         // disk before any label does, so a resume always knows how to replay.
         self.wal_append(&WalRecord::SessionBegin {
             workload_len: self.workload.len() as u64,
-            config: session_config,
-            warm,
+            config: *state.config(),
+            warm: state.warm_start().cloned(),
         })?;
-        Ok(ResolutionSession {
-            engine: self,
-            state,
-            completed_rounds: 0,
-            completed_plan_rounds: 0,
-            completed_refine_rounds: 0,
-            used_warm_start: used_warm,
-            fallback_all_human: fallback,
-            report: None,
-        })
+        Ok(ResolutionSession { engine: self, state, report: None })
     }
 
     /// All ingested records as cluster nodes (so unmatched records appear as
@@ -710,125 +633,52 @@ pub enum ResolutionStep {
 /// workload: emits batched label requests and is driven with responses, like
 /// [`humo::LabelingSession`], but completes into a full [`ResolutionReport`]
 /// (entities, cluster metrics, cost counters) and commits labels plus
-/// warm-start state back to the engine.
+/// warm-start state back to the engine. Read accessors (`rounds`,
+/// `answered_log`, …) come from the [`SessionState`] it derefs to.
 #[derive(Debug)]
 pub struct ResolutionSession<'e> {
     engine: &'e mut ResolutionEngine,
     state: SessionState,
-    /// Dispatch waves of session states retired by the all-human fallback;
-    /// the live count is `completed_rounds + state.rounds()`.
-    completed_rounds: usize,
-    /// Plan-stage share of `completed_rounds` (same retirement bookkeeping).
-    completed_plan_rounds: usize,
-    /// Refine-stage share of `completed_rounds`.
-    completed_refine_rounds: usize,
-    used_warm_start: bool,
-    fallback_all_human: bool,
     /// The assembled report, cached at completion so repeated `step`/`drive`
     /// calls do not re-run the clustering and commit work.
     report: Option<ResolutionReport>,
 }
 
+impl std::ops::Deref for ResolutionSession<'_> {
+    type Target = SessionState;
+
+    fn deref(&self) -> &SessionState {
+        &self.state
+    }
+}
+
 impl ResolutionSession<'_> {
-    /// The still-unanswered requests of the most recent batch.
-    pub fn pending(&self) -> &[LabelRequest] {
-        self.state.pending()
-    }
-
-    /// Number of distinct label dispatch waves emitted so far (label
-    /// round-trips); re-emissions of a still-outstanding batch do not count.
-    pub fn rounds(&self) -> usize {
-        self.completed_rounds + self.state.rounds()
-    }
-
-    /// Plan-stage (sampling) share of [`ResolutionSession::rounds`].
-    pub fn plan_rounds(&self) -> usize {
-        self.completed_plan_rounds + self.state.plan_rounds()
-    }
-
-    /// Refine-stage (boundary search + verification) share of
-    /// [`ResolutionSession::rounds`].
-    pub fn refine_rounds(&self) -> usize {
-        self.completed_refine_rounds + self.state.refine_rounds()
-    }
-
-    /// Whether the session fell back to exact all-human resolution (tiny or
-    /// statistically degenerate workload).
-    pub fn fallback_all_human(&self) -> bool {
-        self.fallback_all_human
-    }
-
-    /// The distinct responses absorbed so far — the session's checkpoint log.
-    pub fn answered_log(&self) -> &[LabelResponse] {
-        self.state.answered_log()
-    }
-
     /// Advances the session with the given responses: either emits the next
     /// batch of label requests or completes into a [`ResolutionReport`].
     ///
     /// Responses may cover any subset of any emitted batch; the session
     /// re-emits whatever is still missing. A statistical degeneracy inside the
     /// sampling optimizer switches the session to the exact all-human fallback
-    /// *without* discarding answered labels.
+    /// *without* discarding answered labels (see
+    /// [`SessionState::poll_with_fallback`]).
     pub fn step(&mut self, responses: &[LabelResponse]) -> Result<ResolutionStep> {
         if let Some(report) = &self.report {
             return Ok(ResolutionStep::Done(report.clone()));
         }
         let obs = self.engine.config.recorder.clone();
         let _step_span = obs.span("resolve.step");
-        let mut responses: Vec<LabelResponse> = responses.to_vec();
-        // Labels re-absorbed after the all-human fallback below are already
-        // on disk (they were appended when first absorbed), so the fallback
-        // turn skips the write-ahead append.
-        let mut log_to_wal = true;
-        loop {
-            // Write-ahead ordering: absorb (validate + dedup into the
-            // answered log), persist the newly logged tail, then replay. A
-            // crash after the append replays from a log that covers at least
-            // everything this process ever acted on.
-            let absorbed = self.state.absorb_responses(&self.engine.workload, &responses)?.to_vec();
-            if log_to_wal && !absorbed.is_empty() {
-                self.engine.wal_append(&WalRecord::Labels(absorbed))?;
-            }
-            match self.state.poll(&self.engine.workload) {
-                Ok(Step::NeedLabels(requests)) => {
-                    return Ok(ResolutionStep::NeedLabels(requests));
-                }
-                Ok(Step::Done(outcome)) => {
-                    let report = self.complete(outcome)?;
-                    self.report = Some(report.clone());
-                    return Ok(ResolutionStep::Done(report));
-                }
-                // Statistical degeneracy (e.g. a workload whose subsets
-                // collapse onto duplicate similarity coordinates and break the
-                // GP fit) is a property of the data, so both an incremental
-                // and a from-scratch run hit it identically; resolving by hand
-                // is the exact, deterministic way out — and because a resumed
-                // replay hits the same degeneracy at the same point, the WAL
-                // needs no record of the switch. Real errors still propagate.
-                // The fallback swaps in an all-human session and loops so the
-                // fresh state's first step shares the handling above;
-                // re-absorbing the labels already paid for keeps them counting
-                // toward the session's cost.
-                Err(humo::HumoError::Stats(_)) if !self.fallback_all_human => {
-                    let log = self.state.answered_log().to_vec();
-                    self.completed_rounds += self.state.rounds();
-                    self.completed_plan_rounds += self.state.plan_rounds();
-                    self.completed_refine_rounds += self.state.refine_rounds();
-                    let mut state = SessionState::new(SessionConfig::AllHuman)?;
-                    state.preload(
-                        self.engine
-                            .labels
-                            .iter()
-                            .map(|(&pair_id, &label)| LabelResponse { pair_id, label }),
-                    );
-                    self.state = state;
-                    self.fallback_all_human = true;
-                    self.used_warm_start = false;
-                    responses = log;
-                    log_to_wal = false;
-                }
-                Err(e) => return Err(e.into()),
+        // Write-ahead ordering: absorb (validate + dedup into the answered
+        // log), persist the newly logged tail, then replay. A crash after the
+        // append replays from a log that covers at least everything this
+        // process ever acted on.
+        let engine = &mut *self.engine;
+        wal::absorb_ahead(&mut self.state, &engine.workload, engine.wal.as_mut(), responses)?;
+        match self.state.poll_with_fallback(&engine.workload)? {
+            Step::NeedLabels(requests) => Ok(ResolutionStep::NeedLabels(requests)),
+            Step::Done(outcome) => {
+                let report = self.complete(outcome)?;
+                self.report = Some(report.clone());
+                Ok(ResolutionStep::Done(report))
             }
         }
     }
@@ -859,29 +709,27 @@ impl ResolutionSession<'_> {
         // The commit record seals the epoch in the log *before* the engine
         // mutates its cross-epoch state, so a resumed engine either replays
         // the epoch (no commit on disk) or folds it in wholesale.
-        self.engine
-            .wal_append(&WalRecord::Commit { warm: self.state.next_warm_start().cloned() })?;
-        for response in self.state.answered_log() {
-            self.engine.labels.insert(response.pair_id, response.label);
-        }
-        if let Some(warm) = self.state.next_warm_start() {
+        let state = &self.state;
+        self.engine.wal_append(&WalRecord::Commit { warm: state.next_warm_start().cloned() })?;
+        self.engine.labels.extend(state.answered_log().iter().map(|r| (r.pair_id, r.label)));
+        if let Some(warm) = state.next_warm_start() {
             self.engine.warm = Some(warm.clone());
         }
         let entities = self.engine.entities_of(&outcome);
         let cluster_metrics = entities.pairwise_metrics(&self.engine.truth_entities());
         let obs = &self.engine.config.recorder;
         obs.counter("pipeline.epochs", 1);
-        obs.counter("pipeline.label_rounds", self.rounds() as u64);
+        obs.counter("pipeline.label_rounds", state.rounds() as u64);
         Ok(ResolutionReport {
-            oracle_queries: self.state.answered_log().len(),
-            label_rounds: self.rounds(),
-            plan_rounds: self.plan_rounds(),
-            refine_rounds: self.refine_rounds(),
+            oracle_queries: state.answered_log().len(),
+            label_rounds: state.rounds(),
+            plan_rounds: state.plan_rounds(),
+            refine_rounds: state.refine_rounds(),
             outcome,
             entities,
             cluster_metrics,
-            used_warm_start: self.used_warm_start,
-            fallback_all_human: self.fallback_all_human,
+            used_warm_start: state.warm_start().is_some_and(|warm| !warm.is_empty()),
+            fallback_all_human: matches!(state.config(), SessionConfig::AllHuman),
         })
     }
 }

@@ -22,7 +22,7 @@ use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
     drive_with_oracle, verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession,
-    ReplayCache, SessionConfig,
+    ReplayCache, SessionConfig, SessionState,
 };
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
@@ -364,11 +364,8 @@ impl PartialSamplingOptimizer {
         workload: &'w Workload,
         warm: Option<WarmStart>,
     ) -> Result<LabelingSession<'w>> {
-        LabelingSession::with_warm_start(
-            SessionConfig::PartialSampling(self.config),
-            workload,
-            warm,
-        )
+        let state = SessionState::new(SessionConfig::PartialSampling(self.config))?;
+        Ok(LabelingSession::from_state(state.with_warm_start(warm), workload))
     }
 
     /// The suspendable estimation phase backing both the session state machine

@@ -65,6 +65,17 @@
 //! via [`LabelingSession::with_replay_cache`]); it only removes the
 //! O(rounds²) replay cost that a from-scratch re-run per step would pay.
 //!
+//! # One session, three drivers
+//!
+//! The session itself is one owned type, [`SessionState`]: configuration,
+//! warm start, answered log, preloads and round counters, with no workload
+//! inside. Three thin drivers hand it a workload — [`LabelingSession`]
+//! (borrowed workload), [`DurableSession`](crate::wal::DurableSession)
+//! (borrowed workload plus a `HAL1` write-ahead log) and
+//! `er_pipeline::ResolutionSession` (the engine's workload and log) — and
+//! all three deref to the state, so `rounds()`, `pending()`, `answered_log()`
+//! and the other read accessors exist exactly once.
+//!
 //! # Driving a session with an oracle
 //!
 //! ```
@@ -529,15 +540,13 @@ pub(crate) fn drive_with_oracle<T>(
     }
 }
 
-/// The owned, workload-detached part of a labeling session: configuration,
-/// answered-label log and progress counters.
+/// The one labeling session: configuration, warm start, answered-label log,
+/// preloads and progress counters, detached from the workload.
 ///
-/// [`LabelingSession`] is the ergonomic borrowing wrapper most callers want;
-/// `SessionState` exists for embedders (such as
-/// `er_pipeline::ResolutionEngine`) whose workload lives inside a larger
-/// mutable structure and therefore cannot be borrowed for the session's whole
-/// lifetime. Every [`SessionState::step`] must be called with the same
-/// workload the session was started for.
+/// The drivers that supply a workload (see the [module docs](self)) deref to
+/// it for every read accessor; none derefs mutably, so nothing can step the
+/// state around a driver's write-ahead log. Every [`SessionState::step`] must
+/// be called with the same workload the session was started for.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     config: SessionConfig,
@@ -671,9 +680,8 @@ impl SessionState {
     ///
     /// The log replaces the *labels*, not the session's inputs: a session
     /// that was seeded with a [`WarmStart`] must be resumed with the **same**
-    /// warm start (chain [`SessionState::with_warm_start`], or use
-    /// [`LabelingSession::resume_with_warm_start`]) — resuming it cold replays
-    /// a different optimization.
+    /// warm start (chain [`SessionState::with_warm_start`]) — resuming it
+    /// cold replays a different optimization.
     pub fn resume(
         config: SessionConfig,
         workload: &Workload,
@@ -701,9 +709,17 @@ impl SessionState {
         self.labels = None;
     }
 
-    /// The configuration the session runs.
+    /// The configuration the session runs. An all-human configuration is
+    /// either the session's own choice or the fallback of
+    /// [`SessionState::poll_with_fallback`].
     pub fn config(&self) -> &SessionConfig {
         &self.config
+    }
+
+    /// The warm start the session was seeded with, if any. The all-human
+    /// fallback drops it.
+    pub fn warm_start(&self) -> Option<&WarmStart> {
+        self.warm.as_ref()
     }
 
     /// The requests of the most recent [`Step::NeedLabels`] batch that are
@@ -715,7 +731,8 @@ impl SessionState {
     /// Number of distinct label dispatch waves so far — the label
     /// *round-trip* cost of the session (each wave is one dispatch latency,
     /// however many pairs it contains). Re-emissions of a still-outstanding
-    /// batch (zero-progress polls, partial-response steps) do not count.
+    /// batch (zero-progress polls, partial-response steps) do not count, and
+    /// the all-human fallback keeps the waves dispatched before it.
     ///
     /// Unlike the label cost, this counter is per-process bookkeeping, not
     /// part of the checkpoint: a session rebuilt via [`SessionState::resume`]
@@ -864,6 +881,38 @@ impl SessionState {
         self.step(workload, &[])
     }
 
+    /// Polls like [`SessionState::poll`], but turns a statistical degeneracy
+    /// ([`HumoError::Stats`], e.g. a GP fit collapsing on duplicate
+    /// similarity coordinates) into the exact all-human fallback instead of
+    /// an error: the session switches to [`SessionConfig::AllHuman`] and is
+    /// polled again. Every answered label stays paid for, so the fallback
+    /// only asks for the pairs nobody has labeled yet.
+    ///
+    /// The degeneracy is a property of the data, so a replay of the same log
+    /// hits it at the same point: a write-ahead log needs no record of the
+    /// switch. Real errors, and a Stats error of a session that is already
+    /// all-human, still propagate.
+    pub fn poll_with_fallback(&mut self, workload: &Workload) -> Result<Step> {
+        match self.poll(workload) {
+            Err(HumoError::Stats(_)) if !matches!(self.config, SessionConfig::AllHuman) => {
+                self.fall_back_to_all_human();
+                self.poll(workload)
+            }
+            other => other,
+        }
+    }
+
+    /// Turns the session all-human over the same cost basis: the answered
+    /// log, the preloads and the round counters stay, the warm start and the
+    /// outstanding batch go.
+    fn fall_back_to_all_human(&mut self) {
+        self.config = SessionConfig::AllHuman;
+        self.phase = self.config.initial_phase();
+        self.warm = None;
+        self.pending.clear();
+        self.cache.clear();
+    }
+
     /// Advances the session: absorbs `responses`, replays the optimizer
     /// against everything answered so far, and either emits the next batch of
     /// label requests or completes — i.e. absorb, then [`SessionState::poll`].
@@ -962,8 +1011,8 @@ impl SessionState {
 /// that loop against a synchronous [`Oracle`].
 #[derive(Debug, Clone)]
 pub struct LabelingSession<'w> {
-    workload: &'w Workload,
-    state: SessionState,
+    pub(crate) workload: &'w Workload,
+    pub(crate) state: SessionState,
 }
 
 impl<'w> LabelingSession<'w> {
@@ -972,21 +1021,11 @@ impl<'w> LabelingSession<'w> {
         Ok(Self { workload, state: SessionState::new(config)? })
     }
 
-    /// Creates a session seeded with warm-start state from a previous
-    /// optimization (honored by the partial-sampling optimizer).
-    pub fn with_warm_start(
-        config: SessionConfig,
-        workload: &'w Workload,
-        warm: Option<WarmStart>,
-    ) -> Result<Self> {
-        Ok(Self { workload, state: SessionState::new(config)?.with_warm_start(warm) })
-    }
-
     /// Rebuilds a session from a previous session's answered-label log; the
     /// next [`LabelingSession::step`] resumes to the same outcome the original
     /// session was heading for. A session that was created with a warm start
-    /// must be resumed via [`LabelingSession::resume_with_warm_start`] with
-    /// the same warm start. See [`SessionState::resume`].
+    /// must be resumed with the same warm start, through
+    /// [`LabelingSession::from_state`]. See [`SessionState::resume`].
     pub fn resume(
         config: SessionConfig,
         workload: &'w Workload,
@@ -995,24 +1034,10 @@ impl<'w> LabelingSession<'w> {
         Ok(Self { workload, state: SessionState::resume(config, workload, log)? })
     }
 
-    /// Rebuilds a warm-started session from its answered-label log: the same
-    /// configuration, workload *and* warm start the original session was
-    /// created with, plus the log, reproduce its optimization exactly.
-    pub fn resume_with_warm_start(
-        config: SessionConfig,
-        workload: &'w Workload,
-        log: &[LabelResponse],
-        warm: Option<WarmStart>,
-    ) -> Result<Self> {
-        Ok(Self {
-            workload,
-            state: SessionState::resume(config, workload, log)?.with_warm_start(warm),
-        })
-    }
-
-    /// Wraps an owned [`SessionState`] (e.g. one rebuilt via
-    /// [`SessionState::resume`] and re-seeded with
-    /// [`SessionState::with_warm_start`]) for the given workload.
+    /// Wraps an owned [`SessionState`] for the given workload — the way to
+    /// start or resume a warm-started session:
+    /// `from_state(SessionState::new(config)?.with_warm_start(warm), workload)`,
+    /// or [`SessionState::resume`] in place of `new`.
     pub fn from_state(state: SessionState, workload: &'w Workload) -> Self {
         Self { workload, state }
     }
@@ -1077,51 +1102,16 @@ impl<'w> LabelingSession<'w> {
             }
         }
     }
+}
 
-    /// The still-unanswered requests of the most recent batch.
-    pub fn pending(&self) -> &[LabelRequest] {
-        self.state.pending()
-    }
+/// Every read accessor of the session (`rounds`, `pending`, `answered_log`,
+/// …) is the state's own. There is deliberately no `DerefMut`: the state only
+/// advances through the driver.
+impl std::ops::Deref for LabelingSession<'_> {
+    type Target = SessionState;
 
-    /// Number of distinct label dispatch waves so far (label round-trips);
-    /// re-emissions of a still-outstanding batch do not count. See
-    /// [`SessionState::rounds`].
-    pub fn rounds(&self) -> usize {
-        self.state.rounds()
-    }
-
-    /// Rounds dispatched during the plan stage. See
-    /// [`SessionState::plan_rounds`].
-    pub fn plan_rounds(&self) -> usize {
-        self.state.plan_rounds()
-    }
-
-    /// Rounds dispatched during the refine stage. See
-    /// [`SessionState::refine_rounds`].
-    pub fn refine_rounds(&self) -> usize {
-        self.state.refine_rounds()
-    }
-
-    /// The optimization stage the most recent batch belongs to.
-    pub fn phase(&self) -> SessionPhase {
-        self.state.phase()
-    }
-
-    /// The distinct responses absorbed so far, in arrival order — the
-    /// checkpoint log accepted by [`LabelingSession::resume`].
-    pub fn answered_log(&self) -> &[LabelResponse] {
-        self.state.answered_log()
-    }
-
-    /// Whether the session has completed.
-    pub fn is_done(&self) -> bool {
-        self.state.is_done()
-    }
-
-    /// Warm-start state for the next epoch, produced by completed
-    /// partial-sampling sessions.
-    pub fn next_warm_start(&self) -> Option<&WarmStart> {
-        self.state.next_warm_start()
+    fn deref(&self) -> &SessionState {
+        &self.state
     }
 }
 
@@ -1377,13 +1367,13 @@ mod tests {
         assert!(!warm.is_empty());
         // Reference: a warm-started session driven to completion.
         let session_config = SessionConfig::PartialSampling(config);
-        let mut reference =
-            LabelingSession::with_warm_start(session_config, &w, Some(warm.clone())).unwrap();
+        let warm_state =
+            || SessionState::new(session_config).unwrap().with_warm_start(Some(warm.clone()));
+        let mut reference = LabelingSession::from_state(warm_state(), &w);
         let reference_outcome = drive_manually(&mut reference);
         // Checkpoint a second warm-started session after a few rounds, then
         // resume it with the same warm start: identical outcome and log.
-        let mut session =
-            LabelingSession::with_warm_start(session_config, &w, Some(warm.clone())).unwrap();
+        let mut session = LabelingSession::from_state(warm_state(), &w);
         let mut responses = Vec::new();
         for _ in 0..2 {
             match session.step(&responses).unwrap() {
@@ -1396,8 +1386,8 @@ mod tests {
         let _ = session.step(&responses).unwrap();
         let log = session.answered_log().to_vec();
         drop(session);
-        let mut resumed =
-            LabelingSession::resume_with_warm_start(session_config, &w, &log, Some(warm)).unwrap();
+        let state = SessionState::resume(session_config, &w, &log).unwrap();
+        let mut resumed = LabelingSession::from_state(state.with_warm_start(Some(warm)), &w);
         let resumed_outcome = drive_manually(&mut resumed);
         assert_eq!(resumed_outcome.solution, reference_outcome.solution);
         assert_eq!(resumed_outcome.assignment, reference_outcome.assignment);
@@ -1443,6 +1433,64 @@ mod tests {
         let again = resumed.drive(&mut GroundTruthOracle::new()).unwrap();
         assert_eq!(again.total_human_cost, driven.total_human_cost);
         assert_eq!(again.solution, driven.solution);
+    }
+
+    #[test]
+    fn all_human_fallback_keeps_the_cost_basis_and_the_round_count() {
+        let w = workload(8_000);
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let config = PartialSamplingConfig::new(requirement);
+        let optimizer = PartialSamplingOptimizer::new(config).unwrap();
+        let warm = optimizer.plan(&w, &mut GroundTruthOracle::new()).unwrap().warm_start(&w);
+        let mut state = SessionState::new(SessionConfig::PartialSampling(config))
+            .unwrap()
+            .with_warm_start(Some(warm));
+        let preloads: Vec<LabelResponse> = (w.len() - 50..w.len())
+            .map(|i| LabelResponse { pair_id: w.pair(i).id(), label: w.pair(i).ground_truth() })
+            .collect();
+        state.preload(preloads.iter().copied());
+
+        // Two SAMP waves in flight, the second one answered but not replayed.
+        let mut responses = Vec::new();
+        for _ in 0..2 {
+            let Step::NeedLabels(requests) = state.step(&w, &responses).unwrap() else {
+                panic!("SAMP should still be sampling");
+            };
+            responses = ground_truth_responses(&w, &requests);
+        }
+        state.absorb_responses(&w, &responses).unwrap();
+        let log = state.answered_log().to_vec();
+        let counters = (state.rounds(), state.plan_rounds(), state.refine_rounds());
+        assert_eq!(counters.0, 2);
+
+        state.fall_back_to_all_human();
+        assert_eq!(state.config(), &SessionConfig::AllHuman);
+        assert!(state.warm_start().is_none(), "the fallback drops the warm start");
+        assert_eq!(state.answered_log(), &log[..]);
+        assert_eq!((state.rounds(), state.plan_rounds(), state.refine_rounds()), counters);
+
+        // One verification wave over every pair neither answered nor
+        // preloaded, counted on top of the waves before the fallback.
+        let Step::NeedLabels(requests) = state.poll(&w).unwrap() else {
+            panic!("expected the all-human verification batch");
+        };
+        let known: HashSet<PairId> = log.iter().chain(&preloads).map(|r| r.pair_id).collect();
+        assert_eq!(requests.len(), w.len() - known.len());
+        assert!(requests.iter().all(|request| !known.contains(&request.pair_id)));
+        assert_eq!(state.phase(), SessionPhase::Verification);
+        assert_eq!(state.rounds(), counters.0 + 1);
+        assert_eq!(state.refine_rounds(), counters.2 + 1);
+        assert_eq!(state.rounds(), state.plan_rounds() + state.refine_rounds());
+
+        let responses = ground_truth_responses(&w, &requests);
+        let Step::Done(outcome) = state.step(&w, &responses).unwrap() else {
+            panic!("the all-human session completes after its one wave");
+        };
+        assert_eq!(outcome.solution, HumoSolution::all_human(w.len()));
+        assert_eq!(outcome.total_human_cost, log.len() + requests.len());
+        assert_eq!(outcome.metrics.precision(), 1.0);
+        assert_eq!(outcome.metrics.recall(), 1.0);
+        assert!(state.next_warm_start().is_none());
     }
 
     #[test]

@@ -55,8 +55,10 @@
 //!
 //! A well-formed log is `SessionBegin (Labels)* (Commit)?`, repeated — one
 //! group per epoch when an engine logs several sessions into one file (see
-//! `er_pipeline::ResolutionEngine::attach_wal`). [`WalWriter`] does not
-//! enforce the grammar (it appends what it is told); readers do.
+//! `er_pipeline::ResolutionEngine::attach_wal`) — where only the last group
+//! may lack its `Commit`. [`WalWriter`] appends what it is told; [`fold`] is
+//! the one reader of the grammar, and every resume ([`DurableSession`], the
+//! pipeline engine, the labeling service) replays a log through it.
 
 use crate::sampling::{
     AllSamplingConfig, PartialSamplingConfig, PriorObservation, RefitStrategy, ShortfallBaseline,
@@ -452,6 +454,102 @@ pub fn read_log(path: impl AsRef<Path>) -> Result<WalRecovery> {
     decode_log(&bytes)
 }
 
+/// One session of a `HAL1` log: a `SessionBegin` record, the answered labels
+/// after it and, once the session completed, its `Commit`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Epoch {
+    /// `workload.len()` of the workload the session ran over.
+    pub workload_len: u64,
+    /// The optimizer configuration the session ran.
+    pub config: SessionConfig,
+    /// The warm start the session was seeded with, if any.
+    pub warm: Option<WarmStart>,
+    /// Every answered label of the session, in answered-log order.
+    pub labels: Vec<LabelResponse>,
+    /// Whether the log holds the session's `Commit`.
+    pub committed: bool,
+    /// The warm start the `Commit` handed to the next epoch, if any.
+    pub next_warm: Option<WarmStart>,
+}
+
+impl Epoch {
+    /// Rebuilds the epoch's session over `workload` from its configuration,
+    /// warm start and answered labels. A workload of a different length than
+    /// the one the epoch was begun over is refused with a [`HumoError::Wal`]
+    /// naming both lengths.
+    pub fn resume(self, workload: &Workload) -> Result<SessionState> {
+        if self.workload_len != workload.len() as u64 {
+            return Err(HumoError::Wal(format!(
+                "logged session ran over a {}-pair workload, got {} pairs \
+                 (an engine must re-ingest the same batches first)",
+                self.workload_len,
+                workload.len()
+            )));
+        }
+        Ok(SessionState::resume(self.config, workload, &self.labels)?.with_warm_start(self.warm))
+    }
+}
+
+/// Folds a log's records into its epochs, in log order — the one reader of
+/// the `SessionBegin (Labels)* (Commit)?` grammar. Labels or a `Commit`
+/// outside a session, and a `SessionBegin` while a session is still open,
+/// are a [`HumoError::Wal`]; only the last epoch may be uncommitted. An empty
+/// log folds to no epochs.
+pub fn fold(records: impl IntoIterator<Item = WalRecord>) -> Result<Vec<Epoch>> {
+    let mut epochs: Vec<Epoch> = Vec::new();
+    for record in records {
+        let open = epochs.last_mut().filter(|epoch| !epoch.committed);
+        match record {
+            WalRecord::SessionBegin { workload_len, config, warm } => {
+                if open.is_some() {
+                    return Err(HumoError::Wal(
+                        "log opens a session before committing the previous one".to_string(),
+                    ));
+                }
+                epochs.push(Epoch {
+                    workload_len,
+                    config,
+                    warm,
+                    labels: Vec::new(),
+                    committed: false,
+                    next_warm: None,
+                });
+            }
+            WalRecord::Labels(responses) => open
+                .ok_or_else(|| HumoError::Wal("log holds labels outside any session".to_string()))?
+                .labels
+                .extend(responses),
+            WalRecord::Commit { warm } => {
+                let epoch = open.ok_or_else(|| {
+                    HumoError::Wal("log holds a commit outside any session".to_string())
+                })?;
+                epoch.committed = true;
+                epoch.next_warm = warm;
+            }
+        }
+    }
+    Ok(epochs)
+}
+
+/// The write-ahead half of a durable step, shared by [`DurableSession`] and
+/// the pipeline's resolution sessions: absorbs `responses` into `state` and,
+/// when a log is attached, appends the newly answered labels to it (flushed
+/// and fsynced) before anything replays them.
+pub fn absorb_ahead(
+    state: &mut SessionState,
+    workload: &Workload,
+    wal: Option<&mut WalWriter>,
+    responses: &[LabelResponse],
+) -> Result<()> {
+    let absorbed = state.absorb_responses(workload, responses)?;
+    match wal {
+        Some(wal) if !absorbed.is_empty() => {
+            wal.append_observed(workload, &WalRecord::Labels(absorbed.to_vec()))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// An append-only `HAL1` writer. Every [`WalWriter::append`] writes one
 /// complete frame and fsyncs before returning: when it comes back `Ok`, the
 /// record survives process death.
@@ -507,6 +605,25 @@ impl WalWriter {
         Ok(bytes.len() as u64)
     }
 
+    /// Appends one record of a session over `workload` like
+    /// [`WalWriter::append`], and counts it on the workload's recorder:
+    /// `session.wal.appends`, `session.wal.bytes`, and `session.wal.labels`
+    /// or `session.wal.commits` by record kind.
+    pub fn append_observed(&mut self, workload: &Workload, record: &WalRecord) -> Result<()> {
+        let bytes = self.append(record)?;
+        let obs = workload.obs();
+        obs.counter("session.wal.appends", 1);
+        obs.counter("session.wal.bytes", bytes);
+        match record {
+            WalRecord::Labels(responses) => {
+                obs.counter("session.wal.labels", responses.len() as u64)
+            }
+            WalRecord::Commit { .. } => obs.counter("session.wal.commits", 1),
+            WalRecord::SessionBegin { .. } => {}
+        }
+        Ok(())
+    }
+
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -521,7 +638,8 @@ impl WalWriter {
 /// A [`LabelingSession`] whose answered log is written ahead to a `HAL1`
 /// file: every absorbed response batch is durable *before* it is replayed,
 /// and [`DurableSession::resume`] rebuilds the session — mid-flight or
-/// completed — from the file alone (plus the workload).
+/// completed — from the file alone (plus the workload). Read accessors come
+/// from the session state it derefs to.
 ///
 /// ```no_run
 /// use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
@@ -563,44 +681,30 @@ impl<'w> DurableSession<'w> {
         warm: Option<WarmStart>,
         path: impl AsRef<Path>,
     ) -> Result<Self> {
-        let session = LabelingSession::with_warm_start(config, workload, warm.clone())?;
+        let state = SessionState::new(config)?.with_warm_start(warm.clone());
         let mut wal = WalWriter::create(path)?;
-        wal.append(&WalRecord::SessionBegin { workload_len: workload.len() as u64, config, warm })?;
-        Ok(Self { session, wal, committed: false })
+        let begin = WalRecord::SessionBegin { workload_len: workload.len() as u64, config, warm };
+        wal.append_observed(workload, &begin)?;
+        Ok(Self { session: LabelingSession::from_state(state, workload), wal, committed: false })
     }
 
-    /// Rebuilds a session from its log: the `SessionBegin` record supplies
-    /// the configuration and warm start, the `Labels` records replay the
-    /// answered log, and a torn tail is truncated away. The file must hold
-    /// exactly one session (engines multiplexing epochs use
-    /// `er_pipeline::ResolutionEngine::resume`).
+    /// Rebuilds a session from its log through [`fold`]: the `SessionBegin`
+    /// record supplies the configuration and warm start, the `Labels`
+    /// records replay the answered log, and a torn tail is truncated away.
+    /// The file must hold exactly one session (engines multiplexing epochs
+    /// use `er_pipeline::ResolutionEngine::resume`).
     pub fn resume(workload: &'w Workload, path: impl AsRef<Path>) -> Result<Self> {
         let (wal, recovery) = WalWriter::recover(path)?;
-        let mut records = recovery.records.into_iter();
-        let Some(WalRecord::SessionBegin { workload_len, config, warm }) = records.next() else {
-            return Err(HumoError::Wal(
-                "log does not start with a SessionBegin record".to_string(),
-            ));
-        };
-        if workload_len != workload.len() as u64 {
+        let mut epochs = fold(recovery.records)?;
+        if epochs.len() != 1 {
             return Err(HumoError::Wal(format!(
-                "log was written for a {workload_len}-pair workload, got {} pairs",
-                workload.len()
+                "log holds {} sessions, a durable session resumes exactly one",
+                epochs.len()
             )));
         }
-        let mut log: Vec<LabelResponse> = Vec::new();
-        let mut committed = false;
-        for record in records {
-            match record {
-                WalRecord::Labels(responses) => log.extend(responses),
-                WalRecord::Commit { .. } => committed = true,
-                WalRecord::SessionBegin { .. } => {
-                    return Err(HumoError::Wal("log holds more than one session".to_string()))
-                }
-            }
-        }
-        let state = SessionState::resume(config, workload, &log)?.with_warm_start(warm);
-        let session = LabelingSession::from_state(state, workload);
+        let epoch = epochs.remove(0);
+        let committed = epoch.committed;
+        let session = LabelingSession::from_state(epoch.resume(workload)?, workload);
         Ok(Self { session, wal, committed })
     }
 
@@ -609,15 +713,13 @@ impl<'w> DurableSession<'w> {
     /// appends the `Commit` record. Exactly [`LabelingSession::step`]
     /// semantics otherwise.
     pub fn step(&mut self, responses: &[LabelResponse]) -> Result<Step> {
-        let absorbed = self.session.absorb(responses)?.to_vec();
-        if !absorbed.is_empty() {
-            self.wal.append(&WalRecord::Labels(absorbed))?;
-        }
-        let step = self.session.poll()?;
+        let LabelingSession { workload, state } = &mut self.session;
+        absorb_ahead(state, workload, Some(&mut self.wal), responses)?;
+        let step = state.poll(workload)?;
         if let Step::Done(_) = &step {
             if !self.committed {
-                let warm = self.session.next_warm_start().cloned();
-                self.wal.append(&WalRecord::Commit { warm })?;
+                let warm = state.next_warm_start().cloned();
+                self.wal.append_observed(workload, &WalRecord::Commit { warm })?;
                 self.committed = true;
             }
         }
@@ -632,6 +734,14 @@ impl<'w> DurableSession<'w> {
     /// The underlying log writer.
     pub fn wal(&self) -> &WalWriter {
         &self.wal
+    }
+}
+
+impl std::ops::Deref for DurableSession<'_> {
+    type Target = SessionState;
+
+    fn deref(&self) -> &SessionState {
+        &self.session
     }
 }
 
@@ -864,6 +974,80 @@ mod tests {
         // A log that never wrote SessionBegin is rejected.
         let mut writer = WalWriter::create(&path).unwrap();
         writer.append(&WalRecord::Labels(Vec::new())).unwrap();
+        drop(writer);
+        assert!(matches!(DurableSession::resume(&w, &path), Err(HumoError::Wal(_))));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn fold_accepts_the_grammar_and_refuses_everything_else() {
+        let label = |id: u64| LabelResponse { pair_id: PairId(id), label: Label::Match };
+        let warm = |similarity: f64| WarmStart {
+            observations: vec![PriorObservation { similarity, sample_size: 10, positives: 5 }],
+            human_interval: None,
+        };
+        let begin = |workload_len: u64, warm: Option<WarmStart>| WalRecord::SessionBegin {
+            workload_len,
+            config: SessionConfig::AllHuman,
+            warm,
+        };
+        let epoch = |workload_len, warm, labels, committed, next_warm| Epoch {
+            workload_len,
+            config: SessionConfig::AllHuman,
+            warm,
+            labels,
+            committed,
+            next_warm,
+        };
+
+        // Three epochs: committed with a handed-on warm start, committed
+        // without one, and a trailing open epoch.
+        let well_formed = vec![
+            begin(10, None),
+            WalRecord::Labels(vec![label(1), label(2)]),
+            WalRecord::Labels(vec![label(3)]),
+            WalRecord::Commit { warm: Some(warm(0.5)) },
+            begin(20, Some(warm(0.5))),
+            WalRecord::Commit { warm: None },
+            begin(30, None),
+            WalRecord::Labels(vec![label(4)]),
+        ];
+        assert_eq!(
+            fold(well_formed).unwrap(),
+            vec![
+                epoch(10, None, vec![label(1), label(2), label(3)], true, Some(warm(0.5))),
+                epoch(20, Some(warm(0.5)), Vec::new(), true, None),
+                epoch(30, None, vec![label(4)], false, None),
+            ]
+        );
+        assert_eq!(fold(Vec::new()).unwrap(), Vec::new());
+
+        let malformed = [
+            ("labels before any SessionBegin", vec![WalRecord::Labels(vec![label(1)])]),
+            ("SessionBegin while an epoch is open", vec![begin(10, None), begin(10, None)]),
+            ("commit outside a session", vec![WalRecord::Commit { warm: None }]),
+            (
+                "labels after a commit",
+                vec![begin(10, None), WalRecord::Commit { warm: None }, WalRecord::Labels(vec![])],
+            ),
+        ];
+        for (case, records) in malformed {
+            assert!(matches!(fold(records), Err(HumoError::Wal(_))), "{case} must be refused");
+        }
+
+        // A durable session resumes exactly one epoch: a well-formed
+        // two-epoch log is refused too.
+        let w = workload(400);
+        let path = temp_path("two-epochs");
+        let mut writer = WalWriter::create(&path).unwrap();
+        for record in [
+            begin(400, None),
+            WalRecord::Commit { warm: None },
+            begin(400, None),
+            WalRecord::Commit { warm: None },
+        ] {
+            writer.append(&record).unwrap();
+        }
         drop(writer);
         assert!(matches!(DurableSession::resume(&w, &path), Err(HumoError::Wal(_))));
         std::fs::remove_file(&path).unwrap();

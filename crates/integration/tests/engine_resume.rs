@@ -14,6 +14,7 @@ use er_pipeline::{
 };
 use humo::{LabelResponse, QualityRequirement};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn pipeline_config() -> PipelineConfig {
     let scoring = ScoringConfig::new(
@@ -41,8 +42,21 @@ fn corpus(entities: usize, seed: u64) -> GeneratedCorpus {
     .generate()
 }
 
+/// A fresh, empty file that no other test thread or process uses: the
+/// counter keeps names unique within this process, and `create_new` skips any
+/// name that already exists on disk.
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(".humo-engine-resume-{}-{name}", std::process::id()))
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir()
+            .join(format!(".humo-engine-resume-{}-{n}-{name}", std::process::id()));
+        match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
+            Ok(_) => return path,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => panic!("cannot create {}: {e}", path.display()),
+        }
+    }
 }
 
 /// Splits the corpus into two ingest batches plus the truth edges.

@@ -15,6 +15,7 @@ use humo::{
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Env var that flips this test binary into the crash-harness child role.
 const CHILD_ENV: &str = "HUMO_WAL_DURABILITY_CHILD";
@@ -32,8 +33,21 @@ fn workload(n: usize, tau: f64, sigma: f64, seed: u64) -> Workload {
     .generate()
 }
 
+/// A fresh, empty file that no other test thread or process uses: the
+/// counter keeps names unique within this process, and `create_new` skips any
+/// name that already exists on disk.
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(".humo-wal-durability-{}-{name}", std::process::id()))
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir()
+            .join(format!(".humo-wal-durability-{}-{n}-{name}", std::process::id()));
+        match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
+            Ok(_) => return path,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => panic!("cannot create {}: {e}", path.display()),
+        }
+    }
 }
 
 fn answer(workload: &Workload, requests: &[humo::LabelRequest]) -> Vec<LabelResponse> {
