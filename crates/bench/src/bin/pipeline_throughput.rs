@@ -12,8 +12,9 @@
 //!    pair-level plus cluster-level precision/recall);
 //! 3. **incremental vs from-scratch**: oracle queries of the final warm
 //!    re-resolution vs a cold from-scratch run over the same records;
-//! 4. **warm vs cold planning** on the identical final workload with fresh
-//!    oracles (isolates the warm-start sampling reuse);
+//! 4. **warm vs cold planning** on the identical final workload: the labels
+//!    a fresh SAMP session charges before its first non-sampling batch, warm
+//!    vs cold (isolates the warm-start sampling reuse);
 //! 5. **session replay**: wall time of a full SAMP/HYBR labeling session under
 //!    the incremental path (persistent GP handle + replay cache) vs the
 //!    full-refit path (from-scratch refits, cache disabled), with the two
@@ -21,8 +22,8 @@
 //! 6. **parallel scoring speedup**: the worker pool vs a single thread over the
 //!    full candidate set, plus the token-memo rate (pre-tokenized records);
 //! 7. **shard-parallel ingest scaling**: the full candidate indexing replayed
-//!    through a 1-shard serial index vs the default sharded index on the pool
-//!    (deltas asserted identical).
+//!    through a 1-shard serial index vs the default sharded index on the pool,
+//!    both reading the same token memo (deltas asserted identical).
 //!
 //! Environment knobs (see [`humo_bench::BenchConfig`]):
 //!
@@ -66,8 +67,9 @@ use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator, Gen
 use er_obs::{MetricsRecorder, ObsHandle};
 use er_pipeline::{PipelineConfig, ResolutionEngine, WorkerPool};
 use humo::{
-    GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome, Oracle,
-    PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement, RefitStrategy, Step,
+    answer_requests, GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome, Oracle,
+    PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement, RefitStrategy,
+    SessionPhase, Step, WarmStart,
 };
 use humo_bench::trajectory::emit_and_gate;
 use humo_bench::{BenchConfig, Json};
@@ -321,6 +323,30 @@ fn run_out_of_core(
     println!("\n[out-of-core] all equivalence checks passed");
 }
 
+/// Labels a fresh SAMP session over `workload` charges before its first batch
+/// outside the sampling phase: its plan-phase cost. SAMP finishes sampling
+/// before it emits any verification batch, so the session is stopped there.
+fn plan_phase_labels(
+    optimizer: &PartialSamplingOptimizer,
+    workload: &Workload,
+    warm: Option<WarmStart>,
+) -> usize {
+    let mut session = optimizer.session_with_warm_start(workload, warm).expect("valid session");
+    let mut oracle = GroundTruthOracle::new();
+    let mut responses = Vec::new();
+    loop {
+        match session.step(&responses).expect("plan phase succeeds") {
+            Step::Done(outcome) => return outcome.total_human_cost,
+            Step::NeedLabels(_) if session.phase() != SessionPhase::Sampling => {
+                return session.answered_log().len();
+            }
+            Step::NeedLabels(requests) => {
+                responses = answer_requests(workload, &requests, &mut oracle);
+            }
+        }
+    }
+}
+
 fn main() {
     let cfg = BenchConfig::from_env("HUMO_PIPE");
     let entities = cfg.usize("ENTITIES", 1_500);
@@ -458,25 +484,19 @@ fn main() {
         scratch_report.cluster_metrics.f1()
     );
 
-    // Warm vs cold planning on the identical final workload, fresh oracles.
+    // Warm vs cold planning on the identical final workload, fresh sessions.
     let optimizer = PartialSamplingOptimizer::new(pipeline_config(threads, true).optimizer)
         .expect("valid optimizer config");
     let workload = scratch.workload();
-    let mut cold_plan_oracle = GroundTruthOracle::new();
-    optimizer.plan(workload, &mut cold_plan_oracle).expect("cold plan succeeds");
-    let cold_plan_queries = cold_plan_oracle.labels_issued();
+    let cold_plan_queries = plan_phase_labels(&optimizer, workload, None);
     let warm_state = engine.warm_state().cloned().unwrap_or_default();
-    let mut warm_plan_oracle = GroundTruthOracle::new();
-    optimizer
-        .plan_with_warm_start(workload, &mut warm_plan_oracle, Some(&warm_state))
-        .expect("warm plan succeeds");
-    let warm_plan_queries = warm_plan_oracle.labels_issued();
+    let warm_plan_queries = plan_phase_labels(&optimizer, workload, Some(warm_state));
     let saving = if cold_plan_queries > 0 {
         100.0 * (cold_plan_queries as f64 - warm_plan_queries as f64) / cold_plan_queries as f64
     } else {
         0.0
     };
-    println!("\n-- warm-started vs cold re-optimization (plan phase, fresh oracles) --");
+    println!("\n-- warm-started vs cold re-optimization (plan phase, fresh sessions) --");
     println!("cold plan:  {cold_plan_queries} oracle queries");
     println!("warm plan:  {warm_plan_queries} oracle queries ({saving:.1}% saved)");
 
@@ -638,8 +658,9 @@ fn main() {
 
     // Shard-parallel ingest scaling: replay the full candidate indexing through
     // a 1-shard serial index and through the default sharded index on the
-    // pool, asserting identical per-batch deltas. The ratio is reported
-    // unsuffixed (machine-dependent, like the scoring scaling).
+    // pool, asserting identical per-batch deltas. Both arms read the same
+    // token memo, so the ratio isolates sharding. It is reported unsuffixed
+    // (machine-dependent, like the scoring scaling).
     let index_batches = 8usize;
     let shard_left: Vec<Vec<Record>> = chunks(corpus.left.records(), index_batches);
     let shard_right: Vec<Vec<Record>> = chunks(corpus.right.records(), index_batches);
@@ -649,7 +670,12 @@ fn main() {
     for epoch in 0..index_batches {
         let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
         let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        serial_deltas.push(serial_index.add_records_with(l, r, &SerialExecutor, None));
+        serial_deltas.push(serial_index.add_records_with(
+            l,
+            r,
+            &SerialExecutor,
+            Some(&token_cache),
+        ));
     }
     let t_serial = start.elapsed().as_secs_f64();
     let mut sharded_index = blocker.incremental_sharded(DEFAULT_SHARDS);

@@ -824,9 +824,17 @@ impl Workload {
 
     /// The pair at a position in similarity order.
     ///
-    /// The returned reference comes from the segment's lazily materialized
-    /// pair cache, which stays alive for as long as the segment is neither
-    /// re-merged nor spilled.
+    /// The returned reference comes from the segment's lazily built
+    /// array-of-structs copy, which stays alive for as long as the segment is
+    /// neither re-merged nor spilled.
+    ///
+    /// Known limit: that copy is not counted by [`Workload::resident_pairs`],
+    /// and a copy built from an already spilled segment stays resident until
+    /// the segment is re-merged, so a memory budget does not bound what
+    /// `pair()` materializes. A by-value `pair()` without the copy was
+    /// measured and rejected: on the benchmark's `durable_service` workload
+    /// (2-vCPU VM) it lost 5 of 5 paired runs, with `run_s` +31%,
+    /// `step_p50_ms` +35% and `step_p90_ms` +48%.
     pub fn pair(&self, index: usize) -> &InstancePair {
         let seg = self.segment_of(index);
         let offset = index - self.starts[seg];

@@ -6,13 +6,13 @@
 //! worker pool, filters them by the blocking threshold and merges them into the
 //! similarity-sorted workload without re-sorting. [`ResolutionEngine::resolve`]
 //! then re-optimizes the HUMO partition — warm-started from the previous
-//! epoch's samples when enabled — resolves pair labels through the oracle, and
-//! clusters match-labeled pairs into entities via union-find transitive
-//! closure. Any [`Oracle`] drives the resolve step, including a redundantly
-//! voted crowd ([`humo::CrowdOracle`]); with `Redundancy::Fixed(1)` and
-//! zero-noise workers the crowd path is byte-identical to
-//! [`GroundTruthOracle`](humo::GroundTruthOracle) (pinned by the
-//! `crowd_oracle_fixed1_zero_noise_resolves_identically` test).
+//! epoch's samples when enabled — in a [`ResolutionSession`], the only way
+//! labels reach a resolution, and clusters match-labeled pairs into entities
+//! via union-find transitive closure. Any [`Oracle`] can drive the session,
+//! including a redundantly voted crowd ([`humo::CrowdOracle`]); with
+//! `Redundancy::Fixed(1)` and zero-noise workers the crowd path is
+//! byte-identical to [`GroundTruthOracle`](humo::GroundTruthOracle) (pinned by
+//! the `crowd_oracle_fixed1_zero_noise_resolves_identically` test).
 //!
 //! **Equivalence guarantee:** with warm-starting disabled and a
 //! dataset-independent attribute weighting (such as
@@ -190,10 +190,9 @@ impl SpillReport {
 #[derive(Debug, Clone)]
 pub struct ResolutionReport {
     /// The HUMO outcome: partition, pair labels, pair-level metrics and human
-    /// cost counters. For the oracle-driven [`ResolutionEngine::resolve`]
-    /// wrapper the cost counters are cumulative over the oracle's lifetime
-    /// (the legacy engine semantics); for session-driven resolutions they are
-    /// session-scoped (distinct labels this session absorbed).
+    /// cost counters. The cost counters are session-scoped for every driver:
+    /// they count the distinct labels this resolution's session absorbed, not
+    /// the labels it was preloaded with from earlier epochs.
     pub outcome: OptimizationOutcome,
     /// The resolved entities (transitive closure of match-labeled pairs over
     /// all ingested records).
@@ -202,9 +201,8 @@ pub struct ResolutionReport {
     /// entities.
     pub cluster_metrics: QualityMetrics,
     /// Distinct labels newly supplied to *this* resolution — everything the
-    /// engine's cross-epoch label store did not already cover. For the
-    /// oracle-driven [`ResolutionEngine::resolve`] wrapper this equals the
-    /// delta of the oracle's distinct-label counter.
+    /// engine's cross-epoch label store did not already cover. Equals
+    /// `outcome.total_human_cost`.
     pub oracle_queries: usize,
     /// Label round-trips of this resolution: the number of distinct dispatch
     /// waves the underlying labeling session emitted (re-emissions of a
@@ -528,27 +526,14 @@ impl ResolutionEngine {
     /// cold), draws the human labels for `DH` from `oracle`, and clusters the
     /// match-labeled pairs into entities.
     ///
-    /// Passing the *same* oracle across epochs models the streaming deployment:
-    /// pairs labeled in earlier epochs are cached, so a re-resolution only pays
-    /// for genuinely new questions.
-    ///
-    /// This is the synchronous driver over [`ResolutionEngine::begin_resolve`]:
-    /// it answers every label batch the session emits through
-    /// [`Oracle::label_batch`]. Systems whose labels arrive asynchronously
-    /// should call [`ResolutionEngine::begin_resolve`] and drive the returned
-    /// [`ResolutionSession`] themselves.
+    /// This is [`ResolutionEngine::begin_resolve`] driven to completion with
+    /// `oracle` ([`ResolutionSession::drive`]), so its report carries the same
+    /// session-scoped costs as any other driver: pairs labeled in earlier
+    /// epochs come from the engine's label store and are never asked again.
+    /// Systems whose labels arrive asynchronously drive the session
+    /// themselves.
     pub fn resolve(&mut self, oracle: &mut dyn Oracle) -> Result<ResolutionReport> {
-        let queries_before = oracle.labels_issued();
-        let mut session = self.begin_resolve()?;
-        let mut report = session.drive(oracle)?;
-        // Oracle-driven cost accounting mirrors the pre-session engine: the
-        // outcome counters are cumulative over the oracle's lifetime and the
-        // per-resolution delta comes from the oracle's distinct-pair counter.
-        report.oracle_queries = oracle.labels_issued() - queries_before;
-        report.outcome.total_human_cost = oracle.labels_issued();
-        report.outcome.sampling_cost =
-            report.outcome.total_human_cost.saturating_sub(report.outcome.verification_cost);
-        Ok(report)
+        self.begin_resolve()?.drive(oracle)
     }
 
     /// Starts a sans-I/O resolution session over the current workload: the

@@ -1,18 +1,20 @@
-//! Crowd labeling adapters: [`CrowdOracle`] and [`CrowdSession`] on top of
-//! the `er-crowd` worker/assignment/aggregation machinery.
+//! Crowd labeling on top of the `er-crowd` worker/assignment/aggregation
+//! machinery: one crowd protocol, [`CrowdSession`], and one synchronous
+//! driver of it, [`CrowdOracle`].
 //!
 //! `er-crowd` models the crowd in raw `u64`/`bool` vocabulary so it stays
-//! dependency-free; this module speaks HUMO's: [`CrowdOracle`] implements
+//! dependency-free; this module speaks HUMO's. [`CrowdSession`] is the
+//! sans-I/O shape: it turns a labeling session's [`LabelRequest`] batches
+//! into per-worker [`VoteRequest`]s and absorbed [`WorkerVote`]s back into
+//! aggregated [`LabelResponse`]s. Only those aggregated responses reach the
+//! labeling session (and thus any attached write-ahead log); raw votes stay in
+//! the crowd layer, so crash-safe resume is untouched: a resumed driver
+//! re-votes only the pairs whose aggregation never completed, and — votes
+//! being pure functions of `(worker seed, pair id)` — reproduces identical
+//! labels. [`CrowdOracle`] is a [`CrowdSession`] plus a loop that answers
+//! every vote request from simulated [`WorkerModel`]s; it implements
 //! [`Oracle`], so a redundantly-voted, aggregated crowd drops into every
-//! existing session driver in place of [`GroundTruthOracle`](crate::GroundTruthOracle)
-//! — and [`CrowdSession`] is the sans-I/O shape, turning a labeling session's
-//! [`LabelRequest`] batches into per-worker [`VoteRequest`]s and absorbed
-//! [`WorkerVote`]s back into aggregated [`LabelResponse`]s. Only those
-//! aggregated responses reach the session (and thus any attached write-ahead
-//! log); raw votes stay in the crowd layer, so crash-safe resume is untouched:
-//! a resumed driver re-votes only the pairs whose aggregation never completed,
-//! and — votes being pure functions of `(worker seed, pair id)` — reproduces
-//! identical labels.
+//! session driver in place of [`GroundTruthOracle`](crate::GroundTruthOracle).
 //!
 //! Determinism caveat: [`Aggregation::Em`] decides labels from *all* votes
 //! collected so far, so a pair's label can depend on which other pairs were in
@@ -33,8 +35,8 @@
 //! * `crowd.em.runs` / `crowd.em.iterations` — counters: EM passes and their
 //!   total iterations;
 //! * `crowd.reliability_abs_error` — gauge: mean |estimated − true| flip rate
-//!   over the worker pool, after each EM pass (simulated workers only — the
-//!   truth is known there).
+//!   over the worker pool, after each EM pass. Only [`CrowdOracle`] emits it:
+//!   it holds the simulated workers, so the true flip rates are known there.
 
 use crate::oracle::Oracle;
 use crate::session::{LabelRequest, LabelResponse};
@@ -69,60 +71,6 @@ pub struct WorkerVote {
     pub label: Label,
 }
 
-/// Shared obs-emission state: the last stats snapshot already reported.
-#[derive(Debug, Default)]
-struct ObsCursor {
-    reported: CrowdStats,
-}
-
-impl ObsCursor {
-    /// Emits the delta between `stats` and the last reported snapshot on the
-    /// `crowd.*` counters, plus the reliability gauge when EM ran.
-    fn flush(&mut self, obs: &ObsHandle, stats: CrowdStats, reliability_error: Option<f64>) {
-        if !obs.is_enabled() {
-            self.reported = stats;
-            return;
-        }
-        let prev = self.reported;
-        for (name, delta) in [
-            ("crowd.votes", stats.votes - prev.votes),
-            ("crowd.disagreements", stats.disagreements - prev.disagreements),
-            ("crowd.escalations", stats.escalations - prev.escalations),
-            ("crowd.labels", stats.decided - prev.decided),
-            ("crowd.em.runs", stats.em_runs - prev.em_runs),
-            ("crowd.em.iterations", stats.em_iterations - prev.em_iterations),
-        ] {
-            if delta > 0 {
-                obs.counter(name, delta);
-            }
-        }
-        if stats.em_runs > prev.em_runs {
-            if let Some(error) = reliability_error {
-                obs.gauge("crowd.reliability_abs_error", error);
-            }
-        }
-        self.reported = stats;
-    }
-}
-
-/// Mean absolute error between EM-estimated and true flip rates, over the
-/// workers the estimate covers (both directions of the confusion matrix).
-fn reliability_abs_error(plan: &CrowdPlan, workers: &[WorkerModel]) -> Option<f64> {
-    let em = plan.last_em()?;
-    if em.reliabilities.is_empty() {
-        return None;
-    }
-    let mut error = 0.0;
-    let mut terms = 0usize;
-    for (&worker, estimate) in &em.reliabilities {
-        let Some(truth) = workers.get(worker.0 as usize) else { continue };
-        error += (estimate.flip_match - truth.flip_match()).abs();
-        error += (estimate.flip_unmatch - truth.flip_unmatch()).abs();
-        terms += 2;
-    }
-    (terms > 0).then(|| error / terms as f64)
-}
-
 /// Builds a pool of `n` symmetric workers with the given error rate, each
 /// seeded independently from `seed` (lane-mixed, so pools with the same seed
 /// are reproducible and workers within a pool are independent).
@@ -130,7 +78,8 @@ pub fn symmetric_pool(n: usize, error_rate: f64, seed: u64) -> Vec<WorkerModel> 
     (0..n).map(|w| WorkerModel::symmetric(error_rate, mix(seed, w as u64))).collect()
 }
 
-/// A crowd of simulated workers behind the [`Oracle`] interface.
+/// A crowd of simulated workers behind the [`Oracle`] interface: a
+/// [`CrowdSession`] plus a synchronous vote loop over the workers.
 ///
 /// Each labeled pair is fanned out to distinct workers per the configured
 /// [`Redundancy`], escalated on disagreement, and aggregated per the
@@ -143,10 +92,7 @@ pub fn symmetric_pool(n: usize, error_rate: f64, seed: u64) -> Vec<WorkerModel> 
 #[derive(Debug)]
 pub struct CrowdOracle {
     workers: Vec<WorkerModel>,
-    plan: CrowdPlan,
-    labeled: BTreeMap<PairId, Label>,
-    obs: ObsHandle,
-    cursor: ObsCursor,
+    session: CrowdSession,
 }
 
 impl CrowdOracle {
@@ -161,20 +107,13 @@ impl CrowdOracle {
         seed: u64,
     ) -> Self {
         assert!(!workers.is_empty(), "crowd oracle needs at least one worker");
-        let plan =
-            CrowdPlan::new(CrowdConfig { pool_size: workers.len(), redundancy, aggregation, seed });
-        Self {
-            workers,
-            plan,
-            labeled: BTreeMap::new(),
-            obs: ObsHandle::default(),
-            cursor: ObsCursor::default(),
-        }
+        let session = CrowdSession::new(workers.len(), redundancy, aggregation, seed);
+        Self { workers, session }
     }
 
     /// Routes the `crowd.*` events through the given handle.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
-        self.obs = obs;
+        self.session = self.session.with_obs(obs);
         self
     }
 
@@ -185,38 +124,43 @@ impl CrowdOracle {
 
     /// Running crowd totals (votes, disagreements, escalations, EM passes).
     pub fn stats(&self) -> CrowdStats {
-        self.plan.stats()
+        self.session.stats()
     }
 
     /// Votes cast so far.
     pub fn votes_cast(&self) -> u64 {
-        self.plan.stats().votes
+        self.stats().votes
     }
 
     /// Votes per delivered label — the label-cost multiplier versus a single
     /// perfect oracle. `Redundancy::Fixed(r)` pins this at exactly `r`;
     /// adaptive redundancy lands between `min` and `max`.
     pub fn cost_multiplier(&self) -> f64 {
-        let labels = self.labeled.len();
-        if labels == 0 {
+        let stats = self.stats();
+        if stats.decided == 0 {
             return 0.0;
         }
-        self.votes_cast() as f64 / labels as f64
+        stats.votes as f64 / stats.decided as f64
     }
 
     /// Mean absolute error of the latest EM reliability estimates against the
-    /// true worker flip rates, when EM has run.
+    /// true worker flip rates (both directions of the confusion matrix), over
+    /// the workers the estimate covers, when EM has run.
     pub fn reliability_abs_error(&self) -> Option<f64> {
-        reliability_abs_error(&self.plan, &self.workers)
+        let mut error = 0.0;
+        let mut terms = 0usize;
+        for (&worker, estimate) in self.estimated_reliabilities()? {
+            let Some(truth) = self.workers.get(worker.0 as usize) else { continue };
+            error += (estimate.flip_match - truth.flip_match()).abs();
+            error += (estimate.flip_unmatch - truth.flip_unmatch()).abs();
+            terms += 2;
+        }
+        (terms > 0).then(|| error / terms as f64)
     }
 
     /// The latest EM-estimated reliability per worker, when EM has run.
     pub fn estimated_reliabilities(&self) -> Option<&BTreeMap<WorkerId, WorkerReliability>> {
-        self.plan.last_em().map(|em| &em.reliabilities)
-    }
-
-    fn vote(&self, ask: VoteAsk, truth_is_match: bool) -> bool {
-        self.workers[ask.worker.0 as usize].vote(ask.pair, truth_is_match)
+        self.session.plan.last_em().map(|em| &em.reliabilities)
     }
 }
 
@@ -225,36 +169,59 @@ impl Oracle for CrowdOracle {
         self.label_batch(&[pair]).pop().expect("one label per request")
     }
 
-    /// Labels the batch by collecting (and possibly escalating) votes for
-    /// every new pair, then aggregating once over the completed set — so an
-    /// EM aggregation's scope is the accumulated vote matrix at batch
+    /// Labels the batch by submitting every new pair to the crowd session,
+    /// answering its vote requests (escalations included) from the workers
+    /// until none are left, and aggregating once over the completed set — so
+    /// an EM aggregation's scope is the accumulated vote matrix at batch
     /// boundaries, matching how an offline crowd round-trip would run.
     fn label_batch(&mut self, pairs: &[&InstancePair]) -> Vec<Label> {
-        for pair in pairs {
-            if self.labeled.contains_key(&pair.id()) {
-                continue;
-            }
-            let truth_is_match = pair.ground_truth() == Label::Match;
-            let mut asks = self.plan.submit(pair.id().0);
-            while let Some(ask) = asks.pop() {
-                let vote = self.vote(ask, truth_is_match);
-                asks.extend(self.plan.absorb(ask.pair, ask.worker, vote));
+        // An oracle sees pairs, not workload positions, so each request's
+        // `index` is its position in this batch; votes are routed by pair id.
+        let mut truth: BTreeMap<PairId, bool> = BTreeMap::new();
+        let mut requests = Vec::new();
+        for (index, pair) in pairs.iter().enumerate() {
+            let pair_id = pair.id();
+            if self.session.plan.decision(pair_id.0).is_none()
+                && truth.insert(pair_id, pair.ground_truth() == Label::Match).is_none()
+            {
+                requests.push(LabelRequest { pair_id, index, similarity: pair.similarity() });
             }
         }
-        let completed = self.plan.take_completed();
-        for (pair, is_match) in self.plan.decide(&completed) {
-            self.labeled.insert(PairId(pair), Label::from_bool(is_match));
+        let em_runs = self.stats().em_runs;
+        let mut asks = self.session.submit(&requests);
+        while !asks.is_empty() {
+            let votes: Vec<WorkerVote> = asks
+                .iter()
+                .map(|ask| {
+                    let pair_id = ask.request.pair_id;
+                    let worker = &self.workers[ask.worker.0 as usize];
+                    let vote = worker.vote(pair_id.0, truth[&pair_id]);
+                    WorkerVote { pair_id, worker: ask.worker, label: Label::from_bool(vote) }
+                })
+                .collect();
+            asks = self.session.absorb(&votes);
         }
-        let error = reliability_abs_error(&self.plan, &self.workers);
-        self.cursor.flush(&self.obs, self.plan.stats(), error);
+        // Decides the completed pairs and emits the `crowd.*` counters; the
+        // labels are read back from the plan's decisions below.
+        self.session.take_ready();
+        // The session cannot score its EM estimates (it never sees the true
+        // worker models), so the reliability gauge is emitted here.
+        if self.stats().em_runs > em_runs {
+            if let Some(error) = self.reliability_abs_error() {
+                self.session.obs.gauge("crowd.reliability_abs_error", error);
+            }
+        }
         pairs
             .iter()
-            .map(|pair| *self.labeled.get(&pair.id()).expect("batch pair was decided"))
+            .map(|pair| {
+                let decision = self.session.plan.decision(pair.id().0);
+                Label::from_bool(decision.expect("batch pair was decided"))
+            })
             .collect()
     }
 
     fn labels_issued(&self) -> usize {
-        self.labeled.len()
+        self.stats().decided as usize
     }
 }
 
@@ -279,7 +246,8 @@ pub struct CrowdSession {
     requests: BTreeMap<PairId, LabelRequest>,
     ready: BTreeMap<PairId, Label>,
     obs: ObsHandle,
-    cursor: ObsCursor,
+    /// The stats snapshot last emitted on the `crowd.*` counters.
+    reported: CrowdStats,
 }
 
 impl CrowdSession {
@@ -299,7 +267,7 @@ impl CrowdSession {
             requests: BTreeMap::new(),
             ready: BTreeMap::new(),
             obs: ObsHandle::default(),
-            cursor: ObsCursor::default(),
+            reported: CrowdStats::default(),
         }
     }
 
@@ -341,7 +309,22 @@ impl CrowdSession {
         for (pair, is_match) in self.plan.decide(&completed) {
             self.ready.insert(PairId(pair), Label::from_bool(is_match));
         }
-        self.cursor.flush(&self.obs, self.plan.stats(), None);
+        let (prev, stats) = (self.reported, self.plan.stats());
+        if self.obs.is_enabled() {
+            for (name, delta) in [
+                ("crowd.votes", stats.votes - prev.votes),
+                ("crowd.disagreements", stats.disagreements - prev.disagreements),
+                ("crowd.escalations", stats.escalations - prev.escalations),
+                ("crowd.labels", stats.decided - prev.decided),
+                ("crowd.em.runs", stats.em_runs - prev.em_runs),
+                ("crowd.em.iterations", stats.em_iterations - prev.em_iterations),
+            ] {
+                if delta > 0 {
+                    self.obs.counter(name, delta);
+                }
+            }
+        }
+        self.reported = stats;
         std::mem::take(&mut self.ready)
             .into_iter()
             .map(|(pair_id, label)| LabelResponse { pair_id, label })
@@ -351,13 +334,7 @@ impl CrowdSession {
     /// All asked-but-unanswered vote requests — what a driver re-dispatches
     /// after losing its queue (resume, failover).
     pub fn outstanding(&self) -> Vec<VoteRequest> {
-        let asks = self.plan.outstanding();
-        asks.into_iter()
-            .filter_map(|ask| {
-                let request = self.requests.get(&PairId(ask.pair))?;
-                Some(VoteRequest { request: *request, worker: ask.worker })
-            })
-            .collect()
+        self.vote_requests(self.plan.outstanding())
     }
 
     /// Running crowd totals.
@@ -452,6 +429,34 @@ mod tests {
         assert_eq!(oracle.votes_cast(), 450);
         assert!((oracle.cost_multiplier() - 3.0).abs() < 1e-12);
         assert!(oracle.stats().disagreements > 0, "20% error at r=3 must disagree sometimes");
+    }
+
+    #[test]
+    fn crowd_oracle_emits_its_totals_on_the_crowd_event_family() {
+        use er_obs::MetricsRecorder;
+        use std::sync::Arc;
+        let metrics = Arc::new(MetricsRecorder::new());
+        let mut oracle = CrowdOracle::new(
+            symmetric_pool(7, 0.2, 29),
+            Redundancy::Adaptive { min: 2, max: 5 },
+            Aggregation::Em(EmConfig::default()),
+            31,
+        )
+        .with_obs(ObsHandle::new(metrics.clone()));
+        let pairs: Vec<InstancePair> = (0..240).map(|i| pair(i, 0.5, i % 3 == 0)).collect();
+        for batch in pairs.chunks(80) {
+            let refs: Vec<&InstancePair> = batch.iter().collect();
+            oracle.label_batch(&refs);
+        }
+        // Re-asking a decided pair emits nothing new.
+        oracle.label(&pairs[0]);
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.counter("crowd.votes"), oracle.votes_cast());
+        assert_eq!(snapshot.counter("crowd.labels"), oracle.labels_issued() as u64);
+        assert_eq!(snapshot.counter("crowd.escalations"), oracle.stats().escalations);
+        assert_eq!(snapshot.counter("crowd.em.runs"), 3, "one EM pass per batch");
+        let error = oracle.reliability_abs_error().expect("EM ran");
+        assert_eq!(snapshot.gauge("crowd.reliability_abs_error"), Some(error));
     }
 
     #[test]

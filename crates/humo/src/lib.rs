@@ -38,7 +38,11 @@
 //! production system needs when labels come from real people asynchronously.
 //! The classic `Optimizer::optimize(workload, oracle)` entry point is a thin
 //! driver loop over that state machine ([`LabelingSession::drive`]), so both
-//! APIs behave byte-identically; see the [`session`] module docs.
+//! APIs behave byte-identically; see the [`session`] module docs. Sessions are
+//! the only way a human label reaches an optimizer: an [`Oracle`] (including
+//! the crowd-backed [`CrowdOracle`], itself a [`CrowdSession`] plus a vote
+//! loop) only ever answers a session's request batches, and every cost
+//! counter is the session's count of distinct answered labels.
 //!
 //! All three sampling-based optimizers route their count bounds through the
 //! two-sided tail-calibrated estimator ([`sampling::CalibratedEstimator`]):

@@ -10,7 +10,9 @@
 //! anything else that can produce labels asynchronously.
 //!
 //! An [`Oracle`] is the simplest such driver: a synchronous label source that
-//! answers every request immediately.
+//! answers every request immediately. It is only ever asked through a session
+//! — nothing in HUMO pulls labels from an oracle outside one — so the
+//! session's answered log, not the oracle, is the cost basis of an outcome.
 //! [`LabelingSession::drive`](crate::LabelingSession::drive) feeds each emitted
 //! batch through [`Oracle::label_batch`] until the session completes, which is
 //! exactly what the classic `Optimizer::optimize(workload, oracle)` entry point

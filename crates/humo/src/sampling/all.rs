@@ -122,8 +122,7 @@ impl AllSamplingOptimizer {
         }
         let cfg = &self.config;
         let partition = workload.partition(cfg.unit_size)?;
-        let mut sampler =
-            SubsetSampler::new(workload, &partition, cfg.samples_per_subset, cfg.seed);
+        let mut sampler = SubsetSampler::new(&partition, cfg.samples_per_subset, cfg.seed);
         let all: Vec<usize> = (0..partition.len()).collect();
         let samples = sampler.sample_many_core(&all, slate)?;
         let base = StratifiedCountEstimator::new(&partition, &samples);

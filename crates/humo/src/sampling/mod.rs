@@ -27,9 +27,8 @@ pub(crate) use calibrated::{censored_proportion_lower, censored_proportion_upper
 pub use calibrated::{CalibratedEstimator, ShortfallBaseline, TailCalibration};
 pub use estimator::{search_subset_bounds, MatchCountEstimator, StratifiedCountEstimator};
 pub use gp_estimator::GpCountEstimator;
-pub(crate) use partial::GpTrainingState;
+pub(crate) use partial::{GpTrainingState, SamplingPlan};
 pub use partial::{
-    PartialSamplingConfig, PartialSamplingOptimizer, RefitStrategy, SamplingPlan, SELECTION_WARMUP,
+    PartialSamplingConfig, PartialSamplingOptimizer, RefitStrategy, SELECTION_WARMUP,
 };
-pub use sampler::SubsetSampler;
 pub use warm::{PriorObservation, WarmStart};

@@ -21,8 +21,8 @@ use crate::optimizer::Optimizer;
 use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
-    drive_with_oracle, verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession,
-    ReplayCache, SessionConfig, SessionState,
+    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, ReplayCache,
+    SessionConfig, SessionState,
 };
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
@@ -206,7 +206,7 @@ impl PartialSamplingConfig {
 
 /// The result of SAMP's estimation phase, reused by the hybrid optimizer.
 #[derive(Debug, Clone)]
-pub struct SamplingPlan {
+pub(crate) struct SamplingPlan {
     /// The equal-count subset partition of the workload.
     pub partition: SubsetPartition,
     /// The GP-backed match-count estimator fitted by Algorithm 1, wrapped in
@@ -324,32 +324,6 @@ impl PartialSamplingOptimizer {
         &self.config
     }
 
-    /// Runs the estimation phase (Algorithm 1 plus the bound search) without
-    /// resolving the workload. The hybrid optimizer builds on this.
-    pub fn plan(&self, workload: &Workload, oracle: &mut dyn Oracle) -> Result<SamplingPlan> {
-        self.plan_with_warm_start(workload, oracle, None)
-    }
-
-    /// Runs the estimation phase, optionally seeded with a [`WarmStart`] from a
-    /// previous run.
-    ///
-    /// Prior observations whose similarity coordinate still falls onto a subset
-    /// of the current partition are reused as GP training points *without*
-    /// issuing oracle queries; fresh samples are only drawn for uncovered
-    /// subsets and wherever Algorithm 1's refinement detects disagreement
-    /// between the seeded GP and the data. Passing `None` (or an empty warm
-    /// start) reproduces [`PartialSamplingOptimizer::plan`] exactly.
-    pub fn plan_with_warm_start(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-        warm: Option<&WarmStart>,
-    ) -> Result<SamplingPlan> {
-        drive_with_oracle(workload, oracle, |slate, cache| {
-            self.plan_core(workload, slate, warm, cache)
-        })
-    }
-
     /// Starts a sans-I/O [`LabelingSession`](crate::LabelingSession) for this
     /// optimizer over the workload — the batched, resumable alternative to
     /// [`Optimizer::optimize`].
@@ -359,6 +333,14 @@ impl PartialSamplingOptimizer {
 
     /// Starts a session seeded with warm-start state from a previous epoch's
     /// plan.
+    ///
+    /// Prior observations whose similarity coordinate still falls onto a subset
+    /// of the current partition are reused as GP training points *without*
+    /// requesting labels; fresh samples are only drawn for uncovered subsets
+    /// and wherever Algorithm 1's refinement detects disagreement between the
+    /// seeded GP and the data. Passing `None` (or an empty warm start)
+    /// reproduces [`PartialSamplingOptimizer::session`] exactly. The completed
+    /// session's [`SessionState::next_warm_start`] seeds the epoch after.
     pub fn session_with_warm_start<'w>(
         &self,
         workload: &'w Workload,
@@ -368,8 +350,8 @@ impl PartialSamplingOptimizer {
         Ok(LabelingSession::from_state(state.with_warm_start(warm), workload))
     }
 
-    /// The suspendable estimation phase backing both the session state machine
-    /// and the oracle-driven [`PartialSamplingOptimizer::plan_with_warm_start`].
+    /// The suspendable estimation phase (Algorithm 1 plus the bound search)
+    /// behind SAMP sessions; the hybrid optimizer builds on it.
     ///
     /// A completed plan is memoized in the [`ReplayCache`]: SAMP's final
     /// verification round and HYBR's boundary-search rounds re-enter here on
@@ -447,23 +429,6 @@ impl PartialSamplingOptimizer {
         let plan = SamplingPlan { partition, estimator, subset_bounds, observations };
         cache.store_plan(plan.clone());
         Ok(plan)
-    }
-
-    /// Optimizes the workload with an optional warm start and returns both the
-    /// outcome and the [`WarmStart`] state seeding the next epoch.
-    pub fn optimize_with_warm_start(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-        warm: Option<&WarmStart>,
-    ) -> Result<(OptimizationOutcome, WarmStart)> {
-        let mut session = self.session_with_warm_start(workload, warm.cloned())?;
-        let outcome = session.drive(oracle)?;
-        let next = session
-            .next_warm_start()
-            .cloned()
-            .expect("a completed partial-sampling session always produces warm-start state");
-        Ok((outcome, next))
     }
 
     /// The suspendable full SAMP run: estimation plan, solution translation
@@ -595,7 +560,7 @@ impl PartialSamplingOptimizer {
             None => GpTrainingState::new(cfg.seed),
         };
         let mut sampler =
-            SubsetSampler::restore(workload, partition, cfg.samples_per_subset, st.sampler.clone());
+            SubsetSampler::restore(partition, cfg.samples_per_subset, st.sampler.clone());
 
         // Fitting noise: the paper-faithful mode uses the raw binomial sampling
         // variance of each observed proportion (which vanishes in the near-pure
@@ -961,6 +926,7 @@ impl Optimizer for PartialSamplingOptimizer {
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::session::{LabelResponse, SessionPhase, Step};
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
     fn workload(n: usize, sigma: f64, seed: u64) -> Workload {
@@ -1002,19 +968,16 @@ mod tests {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let config = PartialSamplingConfig::new(requirement);
         let optimizer = PartialSamplingOptimizer::new(config).unwrap();
-        let mut oracle = GroundTruthOracle::new();
-        let plan = optimizer.plan(&w, &mut oracle).unwrap();
-        let m = plan.partition.len();
+        let (plan_labels, _, _) = run_session(&optimizer, &w, None);
+        let m = w.partition(config.unit_size).unwrap().len();
         // Sampling budget is p_u = 5% of subsets (with a floor of 20 subsets for
-        // small workloads); the oracle cost before resolution is bounded by that
-        // subset budget times the per-subset sample size.
+        // small workloads); the label cost before verification is bounded by
+        // that subset budget times the per-subset sample size.
         let subset_budget = ((m as f64 * 0.05).ceil() as usize).max(20) + 1;
-        let max_sampled_pairs =
-            subset_budget * PartialSamplingConfig::new(requirement).samples_per_subset;
+        let max_sampled_pairs = subset_budget * config.samples_per_subset;
         assert!(
-            oracle.labels_issued() <= max_sampled_pairs,
-            "sampling cost {} exceeds the budget {max_sampled_pairs}",
-            oracle.labels_issued()
+            plan_labels <= max_sampled_pairs,
+            "sampling cost {plan_labels} exceeds the budget {max_sampled_pairs}"
         );
     }
 
@@ -1088,34 +1051,55 @@ mod tests {
         .is_err());
     }
 
+    /// Drives a SAMP session to completion with ground-truth labels. Returns
+    /// the labels charged before its first batch outside the sampling phase
+    /// (SAMP samples everything before it verifies, so this is the plan-phase
+    /// cost), the outcome, and the warm start for the next epoch.
+    fn run_session(
+        optimizer: &PartialSamplingOptimizer,
+        w: &Workload,
+        warm: Option<WarmStart>,
+    ) -> (usize, OptimizationOutcome, WarmStart) {
+        let mut session = optimizer.session_with_warm_start(w, warm).unwrap();
+        let mut plan_labels = None;
+        let mut responses = Vec::new();
+        let outcome = loop {
+            match session.step(&responses).unwrap() {
+                Step::Done(outcome) => break outcome,
+                Step::NeedLabels(requests) => {
+                    if session.phase() != SessionPhase::Sampling {
+                        plan_labels.get_or_insert(session.answered_log().len());
+                    }
+                    responses = requests
+                        .iter()
+                        .map(|r| LabelResponse {
+                            pair_id: r.pair_id,
+                            label: w.pair(r.index).ground_truth(),
+                        })
+                        .collect();
+                }
+            }
+        };
+        let plan_labels = plan_labels.unwrap_or(outcome.total_human_cost);
+        let next_warm = session.next_warm_start().cloned().expect("SAMP yields a warm start");
+        (plan_labels, outcome, next_warm)
+    }
+
     #[test]
     fn warm_start_none_matches_cold_plan_exactly() {
         let w = workload(20_000, 0.1, 41);
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let optimizer =
             PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
-        let mut oracle_a = GroundTruthOracle::new();
-        let cold = optimizer.plan(&w, &mut oracle_a).unwrap();
-        let mut oracle_b = GroundTruthOracle::new();
-        let explicit = optimizer.plan_with_warm_start(&w, &mut oracle_b, None).unwrap();
-        assert_eq!(cold.subset_bounds, explicit.subset_bounds);
-        assert_eq!(oracle_a.labels_issued(), oracle_b.labels_issued());
+        let (cold_labels, cold, _) = run_session(&optimizer, &w, None);
+        let classic = optimizer.optimize(&w, &mut GroundTruthOracle::new()).unwrap();
+        assert_eq!(cold.solution, classic.solution);
+        assert_eq!(cold.total_human_cost, classic.total_human_cost);
         // An *empty* warm start must also be a no-op — including one that
-        // carries a human interval but no observations.
-        let mut oracle_c = GroundTruthOracle::new();
-        let empty = WarmStart::default();
-        let seeded = optimizer.plan_with_warm_start(&w, &mut oracle_c, Some(&empty)).unwrap();
-        assert_eq!(cold.subset_bounds, seeded.subset_bounds);
-        assert_eq!(oracle_a.labels_issued(), oracle_c.labels_issued());
-        let mut oracle_d = GroundTruthOracle::new();
+        // carries a human interval but no observations — and malformed priors
+        // are skipped rather than trusted or panicked on.
         let interval_only =
             WarmStart { observations: Vec::new(), human_interval: Some((0.4, 0.6)) };
-        let seeded =
-            optimizer.plan_with_warm_start(&w, &mut oracle_d, Some(&interval_only)).unwrap();
-        assert_eq!(cold.subset_bounds, seeded.subset_bounds);
-        assert_eq!(oracle_a.labels_issued(), oracle_d.labels_issued());
-        // Malformed priors are skipped rather than trusted or panicked on.
-        let mut oracle_e = GroundTruthOracle::new();
         let malformed = WarmStart {
             observations: vec![
                 PriorObservation { similarity: 0.5, sample_size: 5, positives: 9 },
@@ -1123,9 +1107,11 @@ mod tests {
             ],
             human_interval: None,
         };
-        let seeded = optimizer.plan_with_warm_start(&w, &mut oracle_e, Some(&malformed)).unwrap();
-        assert_eq!(cold.subset_bounds, seeded.subset_bounds);
-        assert_eq!(oracle_a.labels_issued(), oracle_e.labels_issued());
+        for warm in [WarmStart::default(), interval_only, malformed] {
+            let (labels, seeded, _) = run_session(&optimizer, &w, Some(warm));
+            assert_eq!(seeded.solution, cold.solution);
+            assert_eq!(labels, cold_labels);
+        }
     }
 
     #[test]
@@ -1134,26 +1120,17 @@ mod tests {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let optimizer =
             PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
-        // Epoch 1: cold plan, capture the warm state.
-        let mut epoch1_oracle = GroundTruthOracle::new();
-        let plan = optimizer.plan(&w, &mut epoch1_oracle).unwrap();
-        let warm = plan.warm_start(&w);
+        // Epoch 1: a cold session, capturing the warm state.
+        let (cold_labels, _, warm) = run_session(&optimizer, &w, None);
         assert!(!warm.is_empty());
-        // Epoch 2 over the same workload, fresh oracles to isolate plan-phase
-        // query counts: warm must be measurably cheaper than cold.
-        let mut cold_oracle = GroundTruthOracle::new();
-        optimizer.plan(&w, &mut cold_oracle).unwrap();
-        let mut warm_oracle = GroundTruthOracle::new();
-        let warm_plan = optimizer.plan_with_warm_start(&w, &mut warm_oracle, Some(&warm)).unwrap();
+        // Epoch 2 over the same workload, fresh session: its plan phase must
+        // be measurably cheaper than the cold one.
+        let (warm_labels, outcome, _) = run_session(&optimizer, &w, Some(warm));
         assert!(
-            warm_oracle.labels_issued() < cold_oracle.labels_issued(),
-            "warm plan used {} oracle queries, cold used {}",
-            warm_oracle.labels_issued(),
-            cold_oracle.labels_issued()
+            warm_labels < cold_labels,
+            "warm plan used {warm_labels} labels, cold used {cold_labels}"
         );
         // Resolving the warm plan still meets the requirement.
-        let solution = warm_plan.solution(&w);
-        let outcome = OptimizationOutcome::from_solution(solution, &w, &mut warm_oracle).unwrap();
         assert!(outcome.metrics.precision() >= 0.9, "precision {}", outcome.metrics.precision());
         assert!(outcome.metrics.recall() >= 0.9, "recall {}", outcome.metrics.recall());
     }
@@ -1175,23 +1152,13 @@ mod tests {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let optimizer =
             PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
-        let mut epoch1_oracle = GroundTruthOracle::new();
-        let warm = optimizer.plan(&partial, &mut epoch1_oracle).unwrap().warm_start(&partial);
-        let mut cold_oracle = GroundTruthOracle::new();
-        optimizer.plan(&full, &mut cold_oracle).unwrap();
-        let mut warm_oracle = GroundTruthOracle::new();
-        let warm_plan =
-            optimizer.plan_with_warm_start(&full, &mut warm_oracle, Some(&warm)).unwrap();
-        let warm_plan_queries = warm_oracle.labels_issued();
+        let (_, _, warm) = run_session(&optimizer, &partial, None);
+        let (cold_labels, _, _) = run_session(&optimizer, &full, None);
+        let (warm_labels, outcome, next_warm) = run_session(&optimizer, &full, Some(warm));
         assert!(
-            warm_plan_queries < cold_oracle.labels_issued(),
-            "warm plan on the grown workload used {warm_plan_queries} queries, cold used {}",
-            cold_oracle.labels_issued()
+            warm_labels < cold_labels,
+            "warm plan on the grown workload used {warm_labels} labels, cold used {cold_labels}"
         );
-        let next_warm = warm_plan.warm_start(&full);
-        let solution = warm_plan.solution(&full);
-        let outcome =
-            OptimizationOutcome::from_solution(solution, &full, &mut warm_oracle).unwrap();
         assert!(outcome.metrics.precision() >= 0.85, "precision {}", outcome.metrics.precision());
         assert!(outcome.metrics.recall() >= 0.85, "recall {}", outcome.metrics.recall());
         assert!(!next_warm.is_empty());
@@ -1203,17 +1170,18 @@ mod tests {
         let requirement = QualityRequirement::symmetric(0.85).unwrap();
         let optimizer =
             PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
-        let mut oracle = GroundTruthOracle::new();
-        let plan = optimizer.plan(&w, &mut oracle).unwrap();
-        let solution = plan.solution(&w);
-        let (lo, hi) = plan.subset_bounds;
-        assert!(lo <= hi);
+        let (_, outcome, warm) = run_session(&optimizer, &w, None);
+        let solution = outcome.solution;
         assert!(solution.lower_index <= solution.upper_index);
         assert!(solution.human_region_size() <= w.len());
-        // The human region covers exactly the chosen subsets.
-        if hi > lo {
-            assert_eq!(solution.lower_index, plan.partition.subset(lo).range().start);
-            assert_eq!(solution.upper_index, plan.partition.subset(hi - 1).range().end);
-        }
+        // The human region covers exactly whole subsets: both boundaries fall
+        // on subset edges of the partition.
+        let partition = w.partition(optimizer.config().unit_size).unwrap();
+        let edges: Vec<usize> =
+            partition.subsets().iter().map(|s| s.range().start).chain([w.len()]).collect();
+        assert!(edges.contains(&solution.lower_index), "lower {}", solution.lower_index);
+        assert!(edges.contains(&solution.upper_index), "upper {}", solution.upper_index);
+        // The warm start hands on that region's similarity interval.
+        assert_eq!(warm.human_interval, solution.human_similarity_interval(&w));
     }
 }

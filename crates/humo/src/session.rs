@@ -76,6 +76,10 @@
 //! all three deref to the state, so `rounds()`, `pending()`, `answered_log()`
 //! and the other read accessors exist exactly once.
 //!
+//! The state is also the only way a human label reaches an optimizer: there
+//! is no oracle-pulling path beside it, so an outcome's cost counters are
+//! always the state's answered log, whoever answered it.
+//!
 //! # Driving a session with an oracle
 //!
 //! ```
@@ -480,8 +484,8 @@ fn run_core(
 }
 
 /// Answers a batch of label requests through an [`Oracle`], in request order —
-/// the one driver loop body shared by [`LabelingSession::drive`], the engine
-/// wrappers in `er-pipeline`, and the crate-internal oracle shims.
+/// the one driver loop body shared by [`LabelingSession::drive`] and the
+/// engine's `ResolutionSession::drive` in `er-pipeline`.
 ///
 /// # Panics
 /// Panics if the oracle's [`Oracle::label_batch`] returns a different number
@@ -505,39 +509,6 @@ pub fn answer_requests(
         .zip(labels)
         .map(|(request, label)| LabelResponse { pair_id: request.pair_id, label })
         .collect()
-}
-
-/// Drives a suspendable computation to completion by answering every emitted
-/// batch through an [`Oracle`] — the internal engine behind the oracle-based
-/// public APIs (`PartialSamplingOptimizer::plan`, …).
-pub(crate) fn drive_with_oracle<T>(
-    workload: &Workload,
-    oracle: &mut dyn Oracle,
-    mut f: impl FnMut(&LabelSlate<'_>, &mut ReplayCache) -> Drive<T>,
-) -> Result<T> {
-    let mut answered: Vec<Option<Label>> = vec![None; workload.len()];
-    let mut cache = ReplayCache::default();
-    loop {
-        let attempt = f(&LabelSlate::new(&answered), &mut cache);
-        match attempt {
-            Ok(value) => return Ok(value),
-            Err(Suspend::Need { indices, .. }) => {
-                let requests: Vec<LabelRequest> = indices
-                    .iter()
-                    .map(|&index| {
-                        let pair = workload.pair(index);
-                        LabelRequest { pair_id: pair.id(), index, similarity: pair.similarity() }
-                    })
-                    .collect();
-                for (request, response) in
-                    requests.iter().zip(answer_requests(workload, &requests, oracle))
-                {
-                    answered[request.index].get_or_insert(response.label);
-                }
-            }
-            Err(Suspend::Fail(e)) => return Err(e),
-        }
-    }
 }
 
 /// The one labeling session: configuration, warm start, answered-label log,
@@ -942,17 +913,12 @@ impl SessionState {
         match attempt {
             Ok(core) => {
                 self.cache.clear();
-                let metrics = workload.evaluate(&core.assignment)?;
-                let verification_cost = core.solution.human_region_size();
-                let total_human_cost = self.log.len();
-                let outcome = OptimizationOutcome {
-                    solution: core.solution,
-                    assignment: core.assignment,
-                    metrics,
-                    verification_cost,
-                    sampling_cost: total_human_cost.saturating_sub(verification_cost),
-                    total_human_cost,
-                };
+                let outcome = OptimizationOutcome::new(
+                    core.solution,
+                    core.assignment,
+                    workload,
+                    self.log.len(),
+                )?;
                 self.pending.clear();
                 self.phase = SessionPhase::Done;
                 self.warm_out = core.warm_out;
@@ -1144,6 +1110,13 @@ mod tests {
                 label: workload.pair(request.index).ground_truth(),
             })
             .collect()
+    }
+
+    /// The warm start a completed cold SAMP session hands the next epoch.
+    fn cold_warm_start(config: PartialSamplingConfig, w: &Workload) -> WarmStart {
+        let mut session = PartialSamplingOptimizer::new(config).unwrap().session(w).unwrap();
+        session.drive(&mut GroundTruthOracle::new()).unwrap();
+        session.next_warm_start().cloned().expect("a completed SAMP session yields a warm start")
     }
 
     fn drive_manually(session: &mut LabelingSession<'_>) -> OptimizationOutcome {
@@ -1360,10 +1333,8 @@ mod tests {
         let w = workload(12_000);
         let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
         let config = PartialSamplingConfig::new(requirement);
-        let optimizer = PartialSamplingOptimizer::new(config).unwrap();
         // Epoch 1 produces the warm-start state.
-        let mut epoch1 = GroundTruthOracle::new();
-        let warm = optimizer.plan(&w, &mut epoch1).unwrap().warm_start(&w);
+        let warm = cold_warm_start(config, &w);
         assert!(!warm.is_empty());
         // Reference: a warm-started session driven to completion.
         let session_config = SessionConfig::PartialSampling(config);
@@ -1440,8 +1411,7 @@ mod tests {
         let w = workload(8_000);
         let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
         let config = PartialSamplingConfig::new(requirement);
-        let optimizer = PartialSamplingOptimizer::new(config).unwrap();
-        let warm = optimizer.plan(&w, &mut GroundTruthOracle::new()).unwrap().warm_start(&w);
+        let warm = cold_warm_start(config, &w);
         let mut state = SessionState::new(SessionConfig::PartialSampling(config))
             .unwrap()
             .with_warm_start(Some(warm));

@@ -6,7 +6,6 @@
 //! `D⁺` (machine-labeled match) and the half-open range in between is `DH`, the
 //! region handed to the human.
 
-use crate::oracle::Oracle;
 use crate::Result;
 use er_core::workload::{Label, LabelAssignment, QualityMetrics, Workload};
 
@@ -72,17 +71,9 @@ impl HumoSolution {
     }
 
     /// Resolves the workload under this solution: `D⁻` is labeled unmatch, `D⁺`
-    /// match, and every pair of `DH` is labeled by the oracle (counting towards
-    /// its cost).
-    pub fn resolve(&self, workload: &Workload, oracle: &mut dyn Oracle) -> LabelAssignment {
-        self.resolve_from_labels(workload, |idx| oracle.label(workload.pair(idx)))
-    }
-
-    /// Resolves the workload under this solution from an arbitrary label
-    /// source: `lookup` is called once per `DH` index (in ascending order) and
-    /// must return the manual label for that pair. This is the
-    /// final-verification path of the sans-I/O labeling sessions, which read
-    /// the labels from their answered-response log instead of an oracle.
+    /// match, and `lookup` is called once per `DH` index (in ascending order)
+    /// for that pair's manual label. This is the final-verification step of
+    /// every labeling session, which reads the labels from its answered log.
     pub fn resolve_from_labels(
         &self,
         workload: &Workload,
@@ -104,7 +95,7 @@ impl HumoSolution {
 pub struct OptimizationOutcome {
     /// The chosen partition.
     pub solution: HumoSolution,
-    /// The final label assignment (machine labels plus oracle labels on `DH`).
+    /// The final label assignment (machine labels plus manual labels on `DH`).
     pub assignment: LabelAssignment,
     /// Achieved quality against the ground truth.
     pub metrics: QualityMetrics,
@@ -113,35 +104,30 @@ pub struct OptimizationOutcome {
     /// Distinct manually labeled pairs that ended up *outside* `DH` (sampling /
     /// estimation overhead).
     pub sampling_cost: usize,
-    /// Total human cost: distinct pairs labeled by the oracle over the whole run.
+    /// Total human cost: distinct pairs the session labeled over the whole run.
     pub total_human_cost: usize,
 }
 
 impl OptimizationOutcome {
-    /// Assembles an outcome by resolving the solution and reading the oracle's
-    /// final cost counter.
-    pub fn from_solution(
+    /// Assembles the outcome of a completed labeling session: evaluates the
+    /// assignment against the ground truth and splits the session's distinct
+    /// labels into the `DH` verification cost and the sampling overhead
+    /// outside `DH`. Labels inside `DH` count once, whether they were first
+    /// asked during the search or during the final verification.
+    pub(crate) fn new(
         solution: HumoSolution,
+        assignment: LabelAssignment,
         workload: &Workload,
-        oracle: &mut dyn Oracle,
+        total_human_cost: usize,
     ) -> Result<Self> {
-        let labels_before_outside = oracle.labels_issued();
-        let assignment = solution.resolve(workload, oracle);
         let metrics = workload.evaluate(&assignment)?;
-        let total_human_cost = oracle.labels_issued();
         let verification_cost = solution.human_region_size();
-        // Pairs labeled during the search that are outside the final DH: the total
-        // cost minus everything inside DH. (Labels inside DH are counted once no
-        // matter whether they were first requested during the search or during the
-        // final resolution.)
-        let sampling_cost = total_human_cost.saturating_sub(verification_cost);
-        let _ = labels_before_outside;
         Ok(Self {
             solution,
             assignment,
             metrics,
             verification_cost,
-            sampling_cost,
+            sampling_cost: total_human_cost.saturating_sub(verification_cost),
             total_human_cost,
         })
     }
@@ -160,7 +146,6 @@ impl OptimizationOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::GroundTruthOracle;
 
     fn workload() -> Workload {
         // 10 pairs, matches at high similarity plus one low-similarity match.
@@ -177,6 +162,19 @@ mod tests {
             (0.95, true),
         ])
         .unwrap()
+    }
+
+    /// Resolves `solution` with ground-truth `DH` labels, recording every
+    /// index asked for.
+    fn resolve_with_truth(
+        solution: HumoSolution,
+        w: &Workload,
+        asked: &mut Vec<usize>,
+    ) -> LabelAssignment {
+        solution.resolve_from_labels(w, |idx| {
+            asked.push(idx);
+            w.pair(idx).ground_truth()
+        })
     }
 
     #[test]
@@ -214,27 +212,28 @@ mod tests {
     fn resolve_labels_regions_correctly() {
         let w = workload();
         let s = HumoSolution::new(3, 7, w.len());
-        let mut oracle = GroundTruthOracle::new();
-        let assignment = s.resolve(&w, &mut oracle);
+        let mut asked = Vec::new();
+        let assignment = resolve_with_truth(s, &w, &mut asked);
         // D-: indices 0..3 unmatch.
         assert!(!assignment.labels()[0].is_match());
         // a missed low-similarity match
         assert!(!assignment.labels()[1].is_match());
-        // DH: oracle labels match the ground truth.
+        // DH: manual labels match the ground truth.
         assert!(assignment.labels()[5].is_match());
         assert!(!assignment.labels()[6].is_match());
         // D+: all match.
         assert!(assignment.labels()[8].is_match());
-        assert_eq!(oracle.labels_issued(), 4);
+        // Exactly the DH pairs are looked up, once each, in ascending order.
+        assert_eq!(asked, vec![3, 4, 5, 6]);
     }
 
     #[test]
     fn all_human_solution_achieves_perfect_quality() {
         let w = workload();
-        let mut oracle = GroundTruthOracle::new();
-        let outcome =
-            OptimizationOutcome::from_solution(HumoSolution::all_human(w.len()), &w, &mut oracle)
-                .unwrap();
+        let solution = HumoSolution::all_human(w.len());
+        let mut asked = Vec::new();
+        let assignment = resolve_with_truth(solution, &w, &mut asked);
+        let outcome = OptimizationOutcome::new(solution, assignment, &w, asked.len()).unwrap();
         assert_eq!(outcome.metrics.precision(), 1.0);
         assert_eq!(outcome.metrics.recall(), 1.0);
         assert_eq!(outcome.total_human_cost, w.len());
@@ -246,13 +245,11 @@ mod tests {
     #[test]
     fn machine_only_solution_has_zero_human_cost() {
         let w = workload();
-        let mut oracle = GroundTruthOracle::new();
-        let outcome = OptimizationOutcome::from_solution(
-            HumoSolution::machine_only(5, w.len()),
-            &w,
-            &mut oracle,
-        )
-        .unwrap();
+        let solution = HumoSolution::machine_only(5, w.len());
+        let mut asked = Vec::new();
+        let assignment = resolve_with_truth(solution, &w, &mut asked);
+        assert!(asked.is_empty());
+        let outcome = OptimizationOutcome::new(solution, assignment, &w, asked.len()).unwrap();
         assert_eq!(outcome.total_human_cost, 0);
         assert_eq!(outcome.verification_cost, 0);
         // The pure machine threshold misses the low-similarity match.
@@ -262,13 +259,12 @@ mod tests {
     #[test]
     fn sampling_cost_counts_labels_outside_dh() {
         let w = workload();
-        let mut oracle = GroundTruthOracle::new();
-        // Simulate a search that sampled two pairs outside the final DH.
-        oracle.label(w.pair(0));
-        oracle.label(w.pair(9));
-        let outcome =
-            OptimizationOutcome::from_solution(HumoSolution::new(4, 7, w.len()), &w, &mut oracle)
-                .unwrap();
+        // A search that sampled pairs 0 and 9, outside the final DH, and then
+        // verified DH = 4..7.
+        let solution = HumoSolution::new(4, 7, w.len());
+        let mut asked = vec![0, 9];
+        let assignment = resolve_with_truth(solution, &w, &mut asked);
+        let outcome = OptimizationOutcome::new(solution, assignment, &w, asked.len()).unwrap();
         assert_eq!(outcome.verification_cost, 3);
         assert_eq!(outcome.sampling_cost, 2);
         assert_eq!(outcome.total_human_cost, 5);
