@@ -6,7 +6,9 @@
 //! a trivial function.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use er_core::aggregate::{AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig};
+use er_core::aggregate::{
+    AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig, TokenCache,
+};
 use er_core::blocking::TokenBlocker;
 use er_core::similarity::StringMeasure;
 use er_core::text::Tokenizer;
@@ -41,6 +43,7 @@ fn scoring(criterion: &mut Criterion) {
         AttributeWeighting::Uniform,
     );
     let scorer = PairScorer::new(&config, &[&corpus.left, &corpus.right]).expect("valid scorer");
+    let no_memo = TokenCache::new();
 
     let mut group = criterion.benchmark_group("worker_pool_scoring");
     group.sample_size(10);
@@ -52,7 +55,7 @@ fn scoring(criterion: &mut Criterion) {
             &candidates,
             |bencher, pairs| {
                 bencher.iter(|| {
-                    pool.score_pairs(&corpus.left, &corpus.right, &scorer, pairs)
+                    pool.score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, pairs)
                         .expect("scoring succeeds")
                 });
             },

@@ -602,12 +602,15 @@ fn main() {
     let candidates = blocker.candidates(&corpus.left, &corpus.right);
     let scorer =
         PairScorer::new(&scoring_config(), &[&corpus.left, &corpus.right]).expect("valid scorer");
+    // The uncached arms pass an empty memo, so every token set is tokenized
+    // afresh.
+    let no_memo = TokenCache::new();
     let time_scoring = |pool: &WorkerPool| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let start = Instant::now();
             let sims = pool
-                .score_pairs(&corpus.left, &corpus.right, &scorer, &candidates)
+                .score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, &candidates)
                 .expect("scoring succeeds");
             assert_eq!(sims.len(), candidates.len());
             best = best.min(start.elapsed().as_secs_f64());
@@ -634,13 +637,14 @@ fn main() {
     // token-based measures skip re-normalizing and re-tokenizing.
     let mut token_cache = TokenCache::new();
     token_cache.admit_scoring(&scoring_config(), corpus.left.records(), corpus.right.records());
-    let reference =
-        pool.score_pairs(&corpus.left, &corpus.right, &scorer, &candidates).expect("scoring");
+    let reference = pool
+        .score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, &candidates)
+        .expect("scoring");
     let mut tc = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
         let sims = pool
-            .score_pairs_cached(&corpus.left, &corpus.right, &scorer, &token_cache, &candidates)
+            .score_pairs(&corpus.left, &corpus.right, &scorer, &token_cache, &candidates)
             .expect("cached scoring succeeds");
         tc = tc.min(start.elapsed().as_secs_f64());
         assert!(
@@ -670,12 +674,7 @@ fn main() {
     for epoch in 0..index_batches {
         let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
         let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        serial_deltas.push(serial_index.add_records_with(
-            l,
-            r,
-            &SerialExecutor,
-            Some(&token_cache),
-        ));
+        serial_deltas.push(serial_index.add_records(l, r, &SerialExecutor, &token_cache));
     }
     let t_serial = start.elapsed().as_secs_f64();
     let mut sharded_index = blocker.incremental_sharded(DEFAULT_SHARDS);
@@ -683,7 +682,7 @@ fn main() {
     for (epoch, serial_delta) in serial_deltas.iter().enumerate() {
         let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
         let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        let delta = sharded_index.add_records_with(l, r, &pool, Some(&token_cache));
+        let delta = sharded_index.add_records(l, r, &pool, &token_cache);
         assert_eq!(&delta, serial_delta, "sharded delta diverged on epoch {epoch}");
     }
     let t_sharded = start.elapsed().as_secs_f64();

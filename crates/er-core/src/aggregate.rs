@@ -6,6 +6,12 @@
 //! a [`PairScorer`] evaluates a configured similarity measure per attribute and
 //! combines the scores with per-attribute weights, renormalizing over the
 //! attributes actually present on both records.
+//!
+//! [`PairScorer::score`] is the one scoring path. Its token-based measures
+//! read record token sequences from a [`TokenCache`] — the memo the
+//! resolution engine fills once per record at ingest and shares with
+//! blocking — and tokenize afresh whatever the cache lacks, so a caller with
+//! no memo passes an empty cache and gets bit-identical scores.
 
 use crate::record::{Dataset, Record, RecordId};
 use crate::similarity::StringMeasure;
@@ -125,27 +131,6 @@ impl PairScorer {
         Ok(Self { attributes })
     }
 
-    /// Builds a scorer with explicit per-attribute weights (bypassing the weighting rule).
-    pub fn with_weights(
-        attributes: impl IntoIterator<Item = (impl Into<String>, AttributeMeasure, f64)>,
-    ) -> Result<Self> {
-        let attributes: Vec<WeightedAttribute> = attributes
-            .into_iter()
-            .map(|(n, m, w)| WeightedAttribute { name: n.into(), measure: m, weight: w })
-            .collect();
-        if attributes.is_empty() {
-            return Err(ErError::InvalidArgument(
-                "scorer needs at least one attribute".to_string(),
-            ));
-        }
-        if attributes.iter().any(|a| a.weight < 0.0 || !a.weight.is_finite()) {
-            return Err(ErError::InvalidArgument(
-                "attribute weights must be finite and non-negative".to_string(),
-            ));
-        }
-        Ok(Self { attributes })
-    }
-
     /// The attribute names this scorer compares, with their weights.
     pub fn weights(&self) -> Vec<(&str, f64)> {
         self.attributes.iter().map(|a| (a.name.as_str(), a.weight)).collect()
@@ -164,36 +149,19 @@ impl PairScorer {
     ///
     /// Attributes missing on either side are excluded and the remaining weights are
     /// renormalized; if every attribute is missing the pair scores `0`.
-    pub fn score(&self, a: &Record, b: &Record) -> f64 {
-        let mut weighted_sum = 0.0;
-        let mut weight_total = 0.0;
-        for attr in &self.attributes {
-            if let Some(sim) = attr.measure.eval(a.get(&attr.name), b.get(&attr.name)) {
-                weighted_sum += attr.weight * sim;
-                weight_total += attr.weight;
-            }
-        }
-        if weight_total == 0.0 {
-            0.0
-        } else {
-            (weighted_sum / weight_total).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Weighted aggregate similarity, reusing memoized token sequences from a
-    /// [`TokenCache`] for the token-based string measures (Jaccard, Dice,
-    /// overlap, TF-cosine). `a` is looked up on the cache's left side and `b`
-    /// on its right side.
     ///
-    /// Bit-identical to [`PairScorer::score`]: cached sequences are the exact
-    /// `Tokenizer::tokenize` output and feed the same similarity functions, and
-    /// anything the cache does not cover (missed records, character-based or
-    /// numeric measures) falls back to direct evaluation.
-    pub fn score_with_cache(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
+    /// The token-based string measures (Jaccard, Dice, overlap, TF-cosine)
+    /// read memoized token sequences from `cache` — `a` on its left side, `b`
+    /// on its right side. Cached sequences are the exact `Tokenizer::tokenize`
+    /// output and feed the same similarity functions, and anything the cache
+    /// does not cover (records it never admitted, character-based or numeric
+    /// measures) is evaluated directly, so the score is bit-identical for any
+    /// cache state. A caller without a memo passes an empty [`TokenCache`].
+    pub fn score(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
         let mut weighted_sum = 0.0;
         let mut weight_total = 0.0;
         for attr in &self.attributes {
-            if let Some(sim) = Self::eval_with_cache(attr, a, b, cache) {
+            if let Some(sim) = Self::eval_attribute(attr, a, b, cache) {
                 weighted_sum += attr.weight * sim;
                 weight_total += attr.weight;
             }
@@ -205,7 +173,7 @@ impl PairScorer {
         }
     }
 
-    fn eval_with_cache(
+    fn eval_attribute(
         attr: &WeightedAttribute,
         a: &Record,
         b: &Record,
@@ -327,7 +295,7 @@ impl TokenCache {
     /// Admits left- and right-side batches for every *token-based* text
     /// attribute of a scoring configuration (character-based and numeric
     /// measures gain nothing from token memoization and are skipped), so
-    /// [`PairScorer::score_with_cache`] finds every sequence it can use.
+    /// [`PairScorer::score`] finds every sequence it can use.
     pub fn admit_scoring(
         &mut self,
         config: &ScoringConfig,
@@ -418,7 +386,7 @@ mod tests {
         ]);
         let scorer = PairScorer::new(&title_venue_config(), &[&ds]).unwrap();
         let a = paper_record(10, "entity resolution", "icde");
-        assert!((scorer.score(&a, &a) - 1.0).abs() < 1e-12);
+        assert!((scorer.score(&a, &a, &TokenCache::new()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -427,8 +395,8 @@ mod tests {
         let scorer = PairScorer::new(&title_venue_config(), &[&ds]).unwrap();
         let a = paper_record(10, "entity resolution with quality guarantees", "icde");
         let b = paper_record(11, "deep convolutional networks", "nips");
-        assert!(scorer.score(&a, &b) < 0.5);
-        assert!(scorer.score(&a, &b) >= 0.0);
+        assert!(scorer.score(&a, &b, &TokenCache::new()) < 0.5);
+        assert!(scorer.score(&a, &b, &TokenCache::new()) >= 0.0);
     }
 
     #[test]
@@ -438,10 +406,10 @@ mod tests {
         let full = paper_record(10, "entity resolution", "icde");
         let missing_venue = Record::new(RecordId(11)).with("title", "entity resolution");
         // Only the title attribute participates, and the titles are identical.
-        assert!((scorer.score(&full, &missing_venue) - 1.0).abs() < 1e-12);
+        assert!((scorer.score(&full, &missing_venue, &TokenCache::new()) - 1.0).abs() < 1e-12);
         // A record with no comparable attributes scores 0.
         let empty = Record::new(RecordId(12));
-        assert_eq!(scorer.score(&full, &empty), 0.0);
+        assert_eq!(scorer.score(&full, &empty, &TokenCache::new()), 0.0);
     }
 
     #[test]
@@ -461,29 +429,32 @@ mod tests {
         // Same titles, different venue: should still score high because venue weighs little.
         let a = paper_record(10, "matching paper", "icde");
         let b = paper_record(11, "matching paper", "sigmod");
-        assert!(scorer.score(&a, &b) > 0.7);
+        assert!(scorer.score(&a, &b, &TokenCache::new()) > 0.7);
+    }
+
+    /// A uniformly weighted scorer (every weight 1) over the given attributes.
+    fn uniform_scorer(attributes: Vec<(&str, AttributeMeasure)>) -> PairScorer {
+        PairScorer::new(&ScoringConfig::new(attributes, AttributeWeighting::Uniform), &[]).unwrap()
     }
 
     #[test]
     fn numeric_attribute_measures() {
-        let scorer = PairScorer::with_weights([
-            ("year", AttributeMeasure::NumberAbsolute { tolerance: 10.0 }, 1.0),
-            ("price", AttributeMeasure::NumberRelative, 1.0),
-        ])
-        .unwrap();
+        let scorer = uniform_scorer(vec![
+            ("year", AttributeMeasure::NumberAbsolute { tolerance: 10.0 }),
+            ("price", AttributeMeasure::NumberRelative),
+        ]);
         let a = Record::new(RecordId(1)).with("year", 2000.0).with("price", 100.0);
         let b = Record::new(RecordId(2)).with("year", 2005.0).with("price", 50.0);
         // year: 1 - 5/10 = 0.5; price: 1 - 50/100 = 0.5 → aggregate 0.5.
-        assert!((scorer.score(&a, &b) - 0.5).abs() < 1e-12);
+        assert!((scorer.score(&a, &b, &TokenCache::new()) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn attribute_scores_expose_feature_vector() {
-        let scorer = PairScorer::with_weights([
-            ("title", AttributeMeasure::Text(StringMeasure::Levenshtein), 1.0),
-            ("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }, 1.0),
-        ])
-        .unwrap();
+        let scorer = uniform_scorer(vec![
+            ("title", AttributeMeasure::Text(StringMeasure::Levenshtein)),
+            ("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }),
+        ]);
         let a = Record::new(RecordId(1)).with("title", "abc").with("year", 2000.0);
         let b = Record::new(RecordId(2)).with("title", "abc");
         let scores = scorer.attribute_scores(&a, &b);
@@ -500,32 +471,38 @@ mod tests {
             AttributeWeighting::Uniform,
         );
         assert!(PairScorer::new(&empty, &[&ds]).is_err());
-        assert!(PairScorer::with_weights([(
-            "title",
-            AttributeMeasure::Text(StringMeasure::Jaro),
-            -1.0
-        )])
-        .is_err());
+    }
+
+    /// The weighted mean of [`PairScorer::attribute_scores`] — per-attribute
+    /// `StringMeasure::eval` on raw text, which never touches a token cache —
+    /// with the scorer's weights, summed in attribute order.
+    fn reference_score(scorer: &PairScorer, a: &Record, b: &Record) -> f64 {
+        let mut weighted_sum = 0.0;
+        let mut weight_total = 0.0;
+        for (sim, (_, weight)) in scorer.attribute_scores(a, b).into_iter().zip(scorer.weights()) {
+            if let Some(sim) = sim {
+                weighted_sum += weight * sim;
+                weight_total += weight;
+            }
+        }
+        if weight_total == 0.0 {
+            0.0
+        } else {
+            (weighted_sum / weight_total).clamp(0.0, 1.0)
+        }
     }
 
     #[test]
     fn cached_scores_are_bit_identical() {
         // Mixed measures: token-based (Jaccard/Cosine go through the cache),
         // character-based (JaroWinkler) and numeric (absolute) fall back.
-        let scorer = PairScorer::with_weights([
-            ("title", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words)), 3.0),
-            ("authors", AttributeMeasure::Text(StringMeasure::Cosine(Tokenizer::QGrams(2))), 2.0),
-            ("venue", AttributeMeasure::Text(StringMeasure::JaroWinkler), 1.0),
-            ("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }, 1.0),
-        ])
-        .unwrap();
         let lefts = vec![
             Record::new(RecordId(1))
                 .with("title", "Entity Resolution, a Survey")
                 .with("authors", "getoor machanavajjhala")
                 .with("venue", "vldb")
                 .with("year", 2012.0),
-            Record::new(RecordId(2)).with("title", "graph networks"),
+            Record::new(RecordId(2)).with("title", "graph networks").with("venue", "vldb"),
         ];
         let rights = vec![
             Record::new(RecordId(1)) // same id as a left record: sides must not mix
@@ -535,27 +512,38 @@ mod tests {
                 .with("year", 2011.0),
             Record::new(RecordId(9)).with("venue", "icde"),
         ];
-        let mut cache = TokenCache::new();
-        for (attr, tok) in [("title", Tokenizer::Words), ("authors", Tokenizer::QGrams(2))] {
-            cache.admit_left(attr, tok, &lefts);
-            cache.admit_right(attr, tok, &rights);
+        let schema = Schema::new(["title", "authors", "venue", "year"]);
+        let mut left_ds = Dataset::new("l", schema.clone());
+        let mut right_ds = Dataset::new("r", schema);
+        for r in &lefts {
+            left_ds.push(r.clone()).unwrap();
         }
-        assert!(cache.cached_records() > 0);
-        for a in &lefts {
-            for b in &rights {
-                let plain = scorer.score(a, b);
-                let cached = scorer.score_with_cache(a, b, &cache);
-                assert_eq!(plain.to_bits(), cached.to_bits(), "{:?} vs {:?}", a.id(), b.id());
-            }
+        for r in &rights {
+            right_ds.push(r.clone()).unwrap();
         }
-        // An empty cache degrades to plain scoring for every pair.
+        let config = ScoringConfig::new(
+            [
+                ("title", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),
+                ("authors", AttributeMeasure::Text(StringMeasure::Cosine(Tokenizer::QGrams(2)))),
+                ("venue", AttributeMeasure::Text(StringMeasure::JaroWinkler)),
+                ("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }),
+            ],
+            AttributeWeighting::DistinctValues,
+        );
+        let scorer = PairScorer::new(&config, &[&left_ds, &right_ds]).unwrap();
+        let weights: Vec<f64> = scorer.weights().into_iter().map(|(_, w)| w).collect();
+        assert!(weights.windows(2).any(|w| w[0] != w[1]), "weights should differ: {weights:?}");
+        let mut admitted = TokenCache::new();
+        admitted.admit_scoring(&config, &lefts, &rights);
+        assert!(admitted.cached_records() > 0);
         let empty = TokenCache::new();
         for a in &lefts {
             for b in &rights {
-                assert_eq!(
-                    scorer.score(a, b).to_bits(),
-                    scorer.score_with_cache(a, b, &empty).to_bits()
-                );
+                let expected = reference_score(&scorer, a, b).to_bits();
+                for cache in [&admitted, &empty] {
+                    let got = scorer.score(a, b, cache).to_bits();
+                    assert_eq!(got, expected, "{:?} vs {:?}", a.id(), b.id());
+                }
             }
         }
     }

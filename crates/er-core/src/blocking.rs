@@ -1,6 +1,6 @@
-//! Blocking: generating candidate record pairs without enumerating the full
-//! cartesian product, plus the similarity-threshold filtering the paper applies
-//! when building its ER workloads.
+//! Token blocking: generating candidate record pairs without enumerating the
+//! full cartesian product, plus the similarity-threshold filtering the paper
+//! applies when building its ER workloads.
 //!
 //! The paper's experiments "use the blocking technique to filter the instance
 //! pairs unlikely to match", keeping only pairs whose aggregated similarity is at
@@ -8,16 +8,18 @@
 //! [`build_workload`] helper reproduces that pipeline: candidate generation →
 //! scoring → threshold filter → similarity-sorted [`Workload`].
 //!
-//! Both blockers also come in an **incremental** flavour for streaming
-//! ingestion ([`TokenBlocker::incremental`],
-//! [`SortedNeighbourhoodBlocker::incremental`]): record batches are folded into
-//! a persistent index and each `add_records` call returns only the *delta*
+//! The token blocker also comes in an **incremental** flavour for streaming
+//! ingestion ([`TokenBlocker::incremental`]): record batches are folded into a
+//! persistent, token-hash-sharded index and each
+//! [`IncrementalTokenIndex::add_records`] call returns only the *delta*
 //! candidate pairs — the pairs involving at least one record of the new batch —
-//! without rescanning the pairs of previously ingested records.
+//! without rescanning the pairs of previously ingested records. Record token
+//! sets come from a [`TokenCache`] where admitted; an empty cache tokenizes
+//! afresh with identical results.
 
 use crate::aggregate::{PairScorer, TokenCache};
 use crate::codec::{fnv1a, ByteReader, ByteWriter};
-use crate::parallel::{ParallelExecutor, SerialExecutor};
+use crate::parallel::ParallelExecutor;
 use crate::record::{Dataset, Record, RecordId};
 use crate::spill::{ChunkHandle, MemoryBudget, SpillFile};
 use crate::text::Tokenizer;
@@ -53,34 +55,14 @@ impl TokenBlocker {
 
     /// Generates candidate pairs between two datasets.
     pub fn candidates(&self, a: &Dataset, b: &Dataset) -> Vec<(RecordId, RecordId)> {
-        self.candidates_impl(a, b, None)
-    }
-
-    /// Generates candidate pairs between two datasets, reusing memoized token
-    /// sequences (records of `a` on the cache's left side, `b` on its right)
-    /// instead of re-tokenizing. Produces exactly [`TokenBlocker::candidates`].
-    pub fn candidates_with_cache(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        cache: &TokenCache,
-    ) -> Vec<(RecordId, RecordId)> {
-        self.candidates_impl(a, b, Some(cache))
-    }
-
-    fn candidates_impl(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        cache: Option<&TokenCache>,
-    ) -> Vec<(RecordId, RecordId)> {
         // Tokens are deduplicated per record before indexing and probing: a
         // record repeating a token ("new york, new york") must not push its id
         // into a posting list twice, nor probe the same posting list twice —
         // the output set would hide it, but every duplicate re-scans a whole
         // posting list.
+        let cache = TokenCache::new();
         let record_tokens = |record: &Record, side: usize| -> BTreeSet<String> {
-            unique_record_tokens(&self.attribute, self.tokenizer, record, side, cache).0
+            unique_record_tokens(&self.attribute, self.tokenizer, record, side, &cache).0
         };
         // Invert dataset b: token → record ids.
         let mut index: BTreeMap<String, Vec<RecordId>> = BTreeMap::new();
@@ -131,29 +113,29 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// The unique token set of one record, via the cache when admitted (`side`
 /// 0 = left, 1 = right) and by fresh tokenization otherwise. The flag reports
-/// whether the cache answered (always `false` without a cache).
+/// whether the cache answered.
 fn unique_record_tokens(
     attribute: &str,
     tokenizer: Tokenizer,
     record: &Record,
     side: usize,
-    cache: Option<&TokenCache>,
+    cache: &TokenCache,
 ) -> (BTreeSet<String>, bool) {
-    if let Some(cache) = cache {
-        let cached = if side == 0 {
-            cache.left_tokens(attribute, tokenizer, record.id())
-        } else {
-            cache.right_tokens(attribute, tokenizer, record.id())
-        };
-        if let Some(tokens) = cached {
-            return (tokens.iter().cloned().collect(), true);
+    let cached = if side == 0 {
+        cache.left_tokens(attribute, tokenizer, record.id())
+    } else {
+        cache.right_tokens(attribute, tokenizer, record.id())
+    };
+    match cached {
+        Some(tokens) => (tokens.iter().cloned().collect(), true),
+        None => {
+            let tokens = record
+                .text(attribute)
+                .map(|text| tokenizer.tokenize(text).into_iter().collect())
+                .unwrap_or_default();
+            (tokens, false)
         }
     }
-    let tokens = record
-        .text(attribute)
-        .map(|text| tokenizer.tokenize(text).into_iter().collect())
-        .unwrap_or_default();
-    (tokens, false)
 }
 
 /// A persistent token-blocking index supporting incremental ingestion,
@@ -173,7 +155,7 @@ fn unique_record_tokens(
 /// its token subset, the merged + deduplicated per-batch delta is identical
 /// for every shard count — pairs sharing tokens in several shards are emitted
 /// by each of them (always in the same batch, the one where the later record
-/// arrives) and collapse in the merge. [`add_records_with`] fans the per-shard
+/// arrives) and collapse in the merge. [`add_records`] fans the per-shard
 /// work out over a [`ParallelExecutor`].
 ///
 /// Under a [`MemoryBudget`] with a posting bound, shards freeze their resident
@@ -182,7 +164,7 @@ fn unique_record_tokens(
 /// every generation through a small resident hash directory, so budgeted and
 /// unbounded indexes produce identical candidates.
 ///
-/// [`add_records_with`]: IncrementalTokenIndex::add_records_with
+/// [`add_records`]: IncrementalTokenIndex::add_records
 #[derive(Debug, Clone)]
 pub struct IncrementalTokenIndex {
     attribute: String,
@@ -395,26 +377,17 @@ impl IncrementalTokenIndex {
     /// Folds a batch of records into the index and returns the **new** candidate
     /// pairs: every `(left, right)` pair sharing at least one token where at
     /// least one side belongs to this batch. Pairs are deduplicated and sorted.
-    pub fn add_records(
-        &mut self,
-        left_batch: &[Record],
-        right_batch: &[Record],
-    ) -> Vec<(RecordId, RecordId)> {
-        self.add_records_with(left_batch, right_batch, &SerialExecutor, None)
-    }
-
-    /// [`add_records`](IncrementalTokenIndex::add_records) with an explicit
-    /// execution seam and optional token memo: the per-shard candidate deltas
-    /// are computed through `executor` (one work item per shard) and record
-    /// token sets come from `cache` where admitted. Both knobs are
-    /// behaviour-invisible — the returned delta is identical for any executor,
-    /// cache state and shard count.
-    pub fn add_records_with<E: ParallelExecutor>(
+    ///
+    /// The per-shard candidate deltas are computed through `executor` (one
+    /// work item per shard) and record token sets come from `cache` where
+    /// admitted. Neither changes the result: the returned delta is identical
+    /// for any executor, cache state and shard count.
+    pub fn add_records<E: ParallelExecutor>(
         &mut self,
         left_batch: &[Record],
         right_batch: &[Record],
         executor: &E,
-        cache: Option<&TokenCache>,
+        cache: &TokenCache,
     ) -> Vec<(RecordId, RecordId)> {
         let shard_count = self.shards.len();
         let mut work: Vec<ShardWork> = (0..shard_count).map(|_| ShardWork::default()).collect();
@@ -455,12 +428,9 @@ impl IncrementalTokenIndex {
         let deltas = executor.map_mut(&mut self.shards, |i, shard| shard.apply(&work[i]));
         self.records_indexed += left_batch.len() + right_batch.len();
         if self.obs.is_enabled() {
-            // Token-cache hits only mean something when a cache was supplied;
-            // per-shard delta sizes expose blocking skew across shards.
-            if cache.is_some() {
-                self.obs.counter("blocking.tokencache.hits", token_cache_hits);
-                self.obs.counter("blocking.tokencache.misses", token_cache_misses);
-            }
+            self.obs.counter("blocking.tokencache.hits", token_cache_hits);
+            self.obs.counter("blocking.tokencache.misses", token_cache_misses);
+            // Per-shard delta sizes expose blocking skew across shards.
             for delta in &deltas {
                 self.obs.observe("blocking.shard_delta_pairs", delta.len() as f64);
             }
@@ -500,182 +470,6 @@ impl IncrementalTokenIndex {
     }
 }
 
-/// Sorted-neighbourhood blocking: both datasets are sorted by a normalized blocking
-/// key and records within a sliding window of each other become candidates.
-#[derive(Debug, Clone)]
-pub struct SortedNeighbourhoodBlocker {
-    attribute: String,
-    window: usize,
-}
-
-impl SortedNeighbourhoodBlocker {
-    /// Creates a sorted-neighbourhood blocker over the given attribute with the
-    /// given window size (a window of `w` pairs each record with the `w` records
-    /// around it in key order).
-    pub fn new(attribute: impl Into<String>, window: usize) -> Self {
-        Self { attribute: attribute.into(), window: window.max(1) }
-    }
-
-    /// Generates candidate pairs between two datasets.
-    ///
-    /// Overlapping windows encounter the same pair repeatedly; emitted pairs are
-    /// deduplicated so every candidate appears exactly once.
-    pub fn candidates(&self, a: &Dataset, b: &Dataset) -> Vec<(RecordId, RecordId)> {
-        let mut entries: Vec<SnEntry> = Vec::with_capacity(a.len() + b.len());
-        for r in a.iter() {
-            entries.push(SnEntry::new(&self.attribute, r, true));
-        }
-        for r in b.iter() {
-            entries.push(SnEntry::new(&self.attribute, r, false));
-        }
-        entries.sort_by(SnEntry::cmp);
-
-        let mut seen: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for i in 0..entries.len() {
-            let hi = (i + self.window + 1).min(entries.len());
-            for j in (i + 1)..hi {
-                if let Some(pair) = SnEntry::cross_pair(&entries[i], &entries[j]) {
-                    seen.insert(pair);
-                }
-            }
-        }
-        seen.into_iter().collect()
-    }
-
-    /// Creates an empty incremental index with this blocker's attribute and
-    /// window. Feed record batches through
-    /// [`IncrementalSortedNeighbourhoodIndex::add_records`] to obtain delta
-    /// candidates.
-    pub fn incremental(&self) -> IncrementalSortedNeighbourhoodIndex {
-        IncrementalSortedNeighbourhoodIndex {
-            attribute: self.attribute.clone(),
-            window: self.window,
-            entries: Vec::new(),
-        }
-    }
-}
-
-/// One key-sorted entry of a sorted-neighbourhood arrangement.
-#[derive(Debug, Clone)]
-struct SnEntry {
-    key: String,
-    id: RecordId,
-    from_left: bool,
-}
-
-impl SnEntry {
-    fn new(attribute: &str, record: &Record, from_left: bool) -> Self {
-        let key = crate::text::normalize(record.text(attribute).unwrap_or(""));
-        Self { key, id: record.id(), from_left }
-    }
-
-    /// Canonical total order: by key, then left-side entries before right-side
-    /// ones, then by record id. Because the order is total and independent of
-    /// insertion sequence, the batch and incremental arrangements agree.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.from_left.cmp(&self.from_left))
-            .then_with(|| self.id.cmp(&other.id))
-    }
-
-    /// The normalized `(left, right)` pair when the two entries come from
-    /// different sides, `None` otherwise.
-    fn cross_pair(x: &Self, y: &Self) -> Option<(RecordId, RecordId)> {
-        match (x.from_left, y.from_left) {
-            (true, false) => Some((x.id, y.id)),
-            (false, true) => Some((y.id, x.id)),
-            _ => None,
-        }
-    }
-}
-
-/// A persistent sorted-neighbourhood arrangement supporting incremental
-/// ingestion.
-///
-/// New batches are merge-inserted into the key-sorted arrangement and each new
-/// entry is paired with the records inside its window at its final position, so
-/// the per-batch work is `O(existing + batch·window)` — old windows are never
-/// re-scanned. Every delta pair involves a record of the current batch, hence a
-/// pair is never emitted twice across batches.
-///
-/// Unlike token blocking, sorted-neighbourhood candidates are **monotone but not
-/// split-invariant**: records inserted later can push two earlier records apart,
-/// so the union of the deltas is a *superset* of the batch
-/// [`SortedNeighbourhoodBlocker::candidates`] on the union (it covers every
-/// batch pair, plus pairs that were window-neighbours at some point of the
-/// ingestion history). Once emitted, a candidate stays a candidate.
-#[derive(Debug, Clone)]
-pub struct IncrementalSortedNeighbourhoodIndex {
-    attribute: String,
-    window: usize,
-    entries: Vec<SnEntry>,
-}
-
-impl IncrementalSortedNeighbourhoodIndex {
-    /// Number of records folded into the arrangement so far (both sides).
-    pub fn records_indexed(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Folds a batch of records into the arrangement and returns the **new**
-    /// candidate pairs: every cross-source pair within the window of a record of
-    /// this batch, at its position in the updated arrangement. Pairs are
-    /// deduplicated and sorted.
-    pub fn add_records(
-        &mut self,
-        left_batch: &[Record],
-        right_batch: &[Record],
-    ) -> Vec<(RecordId, RecordId)> {
-        let mut incoming: Vec<SnEntry> = Vec::with_capacity(left_batch.len() + right_batch.len());
-        for r in left_batch {
-            incoming.push(SnEntry::new(&self.attribute, r, true));
-        }
-        for r in right_batch {
-            incoming.push(SnEntry::new(&self.attribute, r, false));
-        }
-        incoming.sort_by(SnEntry::cmp);
-
-        // Merge the sorted batch into the sorted arrangement, recording the
-        // final positions of the new entries.
-        let old = std::mem::take(&mut self.entries);
-        let mut merged = Vec::with_capacity(old.len() + incoming.len());
-        let mut new_positions = Vec::with_capacity(incoming.len());
-        let mut old_iter = old.into_iter().peekable();
-        let mut new_iter = incoming.into_iter().peekable();
-        loop {
-            let take_new = match (old_iter.peek(), new_iter.peek()) {
-                (Some(o), Some(n)) => SnEntry::cmp(n, o) == std::cmp::Ordering::Less,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => break,
-            };
-            if take_new {
-                new_positions.push(merged.len());
-                merged.push(new_iter.next().expect("peeked"));
-            } else {
-                merged.push(old_iter.next().expect("peeked"));
-            }
-        }
-        self.entries = merged;
-
-        let mut delta: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for &p in &new_positions {
-            let lo = p.saturating_sub(self.window);
-            let hi = (p + self.window).min(self.entries.len().saturating_sub(1));
-            for j in lo..=hi {
-                if j == p {
-                    continue;
-                }
-                if let Some(pair) = SnEntry::cross_pair(&self.entries[p], &self.entries[j]) {
-                    delta.insert(pair);
-                }
-            }
-        }
-        delta.into_iter().collect()
-    }
-}
-
 /// Scores candidate pairs, filters them by a similarity threshold, and assembles a
 /// similarity-sorted [`Workload`] with ground-truth labels.
 ///
@@ -692,12 +486,13 @@ pub fn build_workload(
     ground_truth: &BTreeSet<(RecordId, RecordId)>,
     threshold: f64,
 ) -> Result<Workload> {
+    let cache = TokenCache::new();
     let mut pairs = Vec::new();
     let mut next_id = 0u64;
     for &(left, right) in candidates {
         let ra = a.require(left)?;
         let rb = b.require(right)?;
-        let similarity = scorer.score(ra, rb);
+        let similarity = scorer.score(ra, rb, &cache);
         if similarity < threshold {
             continue;
         }
@@ -712,6 +507,7 @@ pub fn build_workload(
 mod tests {
     use super::*;
     use crate::aggregate::{AttributeMeasure, AttributeWeighting, ScoringConfig};
+    use crate::parallel::SerialExecutor;
     use crate::record::{Record, Schema};
     use crate::similarity::StringMeasure;
     use proptest::prelude::*;
@@ -793,19 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_neighbourhood_pairs_nearby_keys() {
-        let a = dataset("a", &[(1, "aaa"), (2, "mmm"), (3, "zzz")]);
-        let b = dataset("b", &[(10, "aab"), (11, "mmn"), (12, "zzy")]);
-        let blocker = SortedNeighbourhoodBlocker::new("title", 2);
-        let candidates = blocker.candidates(&a, &b);
-        assert!(candidates.contains(&(RecordId(1), RecordId(10))));
-        assert!(candidates.contains(&(RecordId(2), RecordId(11))));
-        assert!(candidates.contains(&(RecordId(3), RecordId(12))));
-        // Distant keys should not be paired with a small window.
-        assert!(!candidates.contains(&(RecordId(1), RecordId(12))));
-    }
-
-    #[test]
     fn build_workload_scores_filters_and_labels() {
         let a = dataset("a", &[(1, "entity resolution framework"), (2, "deep learning")]);
         let b = dataset(
@@ -841,28 +624,6 @@ mod tests {
         assert!(build_workload(&a, &b, &bogus, &scorer, &BTreeSet::new(), 0.0).is_err());
     }
 
-    #[test]
-    fn sorted_neighbourhood_emits_no_duplicates_for_wide_windows() {
-        // Regression: with window > 2 every pair sits inside several overlapping
-        // windows (and equal keys maximize the overlap); each candidate must
-        // still be emitted exactly once.
-        let a = dataset("a", &[(1, "same key"), (2, "same key"), (3, "same key")]);
-        let b = dataset("b", &[(10, "same key"), (11, "same key"), (12, "same key")]);
-        for window in [3, 4, 6, 10] {
-            let blocker = SortedNeighbourhoodBlocker::new("title", window);
-            let candidates = blocker.candidates(&a, &b);
-            let unique: BTreeSet<_> = candidates.iter().collect();
-            assert_eq!(
-                unique.len(),
-                candidates.len(),
-                "window {window} emitted duplicate candidate pairs"
-            );
-        }
-        // A window spanning everything yields the full cross product exactly once.
-        let all = SortedNeighbourhoodBlocker::new("title", 10).candidates(&a, &b);
-        assert_eq!(all.len(), 9);
-    }
-
     fn batched(records: &[Record], batches: usize) -> Vec<&[Record]> {
         let size = records.len().div_ceil(batches.max(1)).max(1);
         records.chunks(size).collect()
@@ -893,36 +654,13 @@ mod tests {
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r) {
+                for pair in index.add_records(l, r, &SerialExecutor, &TokenCache::new()) {
                     assert!(union.insert(pair), "pair {pair:?} emitted twice");
                 }
             }
             assert_eq!(union, expected, "split ({left_batches},{right_batches}) diverged");
             assert_eq!(index.records_indexed(), a.len() + b.len());
         }
-    }
-
-    #[test]
-    fn incremental_sorted_neighbourhood_covers_batch_and_never_repeats() {
-        let a = dataset("a", &[(1, "aaa"), (2, "ccc"), (3, "mmm"), (4, "zzz")]);
-        let b = dataset("b", &[(10, "aab"), (11, "cce"), (12, "mmn"), (13, "zzy")]);
-        let blocker = SortedNeighbourhoodBlocker::new("title", 2);
-        let batch: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
-        // Single-batch ingestion reproduces the batch candidates exactly.
-        let mut index = blocker.incremental();
-        let single: BTreeSet<_> = index.add_records(a.records(), b.records()).into_iter().collect();
-        assert_eq!(single, batch);
-        // Any split covers the batch candidates (superset) without repeats.
-        let mut index = blocker.incremental();
-        let mut union: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for i in 0..a.len().max(b.len()) {
-            let l = a.records().get(i..i + 1).unwrap_or(&[]);
-            let r = b.records().get(i..i + 1).unwrap_or(&[]);
-            for pair in index.add_records(l, r) {
-                assert!(union.insert(pair), "pair {pair:?} emitted twice");
-            }
-        }
-        assert!(union.is_superset(&batch), "incremental deltas miss batch candidates");
     }
 
     proptest! {
@@ -961,7 +699,7 @@ mod tests {
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r) {
+                for pair in index.add_records(l, r, &SerialExecutor, &TokenCache::new()) {
                     prop_assert!(union.insert(pair), "pair emitted twice: {:?}", pair);
                 }
             }
@@ -970,18 +708,27 @@ mod tests {
     }
 
     #[test]
-    fn candidates_with_cache_match_uncached() {
+    fn admitted_and_empty_caches_yield_identical_deltas() {
         let a = dataset("a", &[(1, "entity resolution survey"), (2, "graph neural networks")]);
         let b =
             dataset("b", &[(10, "a survey of entity resolution"), (11, "convolutional networks")]);
         let blocker = TokenBlocker::new("title", Tokenizer::Words);
-        let expected = blocker.candidates(&a, &b);
-        // A fully warmed cache and a cold cache both reproduce the plain path.
-        let mut warm = TokenCache::new();
-        warm.admit_left("title", Tokenizer::Words, a.records());
-        warm.admit_right("title", Tokenizer::Words, b.records());
-        assert_eq!(blocker.candidates_with_cache(&a, &b, &warm), expected);
-        assert_eq!(blocker.candidates_with_cache(&a, &b, &TokenCache::new()), expected);
+        let mut admitted = TokenCache::new();
+        admitted.admit_left("title", Tokenizer::Words, a.records());
+        admitted.admit_right("title", Tokenizer::Words, b.records());
+        let empty = TokenCache::new();
+        let mut warm = blocker.incremental();
+        let mut cold = blocker.incremental();
+        let mut union = Vec::new();
+        // Two batches, so the second probes postings the first one indexed.
+        let (left, right) = (a.records(), b.records());
+        for (l, r) in [(&left[..1], &right[1..]), (&left[1..], &right[..1])] {
+            let delta = warm.add_records(l, r, &SerialExecutor, &admitted);
+            assert_eq!(delta, cold.add_records(l, r, &SerialExecutor, &empty));
+            union.extend(delta);
+        }
+        union.sort();
+        assert_eq!(union, blocker.candidates(&a, &b));
     }
 
     #[test]
@@ -1004,8 +751,8 @@ mod tests {
             let l = &a.records()[i * 10..(i + 1) * 10];
             let r = &b.records()[i * 10..(i + 1) * 10];
             assert_eq!(
-                budgeted.add_records(l, r),
-                unbounded.add_records(l, r),
+                budgeted.add_records(l, r, &SerialExecutor, &TokenCache::new()),
+                unbounded.add_records(l, r, &SerialExecutor, &TokenCache::new()),
                 "budgeted delta diverged on batch {i}"
             );
             // Over-budget shards were frozen between batches.
@@ -1017,8 +764,18 @@ mod tests {
         // A clone shares the spill file and still probes generations correctly.
         let mut cloned = budgeted.clone();
         let extra = Record::new(RecordId(9_999)).with("title", "tok1 shared");
-        let from_clone = cloned.add_records(&[], std::slice::from_ref(&extra));
-        let from_orig = budgeted.add_records(&[], std::slice::from_ref(&extra));
+        let from_clone = cloned.add_records(
+            &[],
+            std::slice::from_ref(&extra),
+            &SerialExecutor,
+            &TokenCache::new(),
+        );
+        let from_orig = budgeted.add_records(
+            &[],
+            std::slice::from_ref(&extra),
+            &SerialExecutor,
+            &TokenCache::new(),
+        );
         assert_eq!(from_clone, from_orig);
         assert!(!from_clone.is_empty());
     }
@@ -1065,7 +822,7 @@ mod tests {
                 for i in 0..left_chunks.len().max(right_chunks.len()) {
                     let l = left_chunks.get(i).copied().unwrap_or(&[]);
                     let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                    deltas.push(index.add_records(l, r));
+                    deltas.push(index.add_records(l, r, &SerialExecutor, &TokenCache::new()));
                 }
                 let union: BTreeSet<_> = deltas.iter().flatten().copied().collect();
                 prop_assert_eq!(&union, &expected);
@@ -1074,42 +831,6 @@ mod tests {
                     Some(reference) => prop_assert_eq!(reference, &deltas),
                 }
             }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..Default::default() })]
-        #[test]
-        fn incremental_sorted_neighbourhood_is_monotone_superset(
-            n_left in 1usize..10,
-            n_right in 1usize..10,
-            window in 1usize..5,
-            salt in 0u64..1_000,
-        ) {
-            let key = |id: u64| -> String {
-                let h = id.wrapping_mul(6364136223846793005).wrapping_add(salt);
-                format!("{:03}", h % 50)
-            };
-            let mut a = Dataset::new("a", Schema::new(["title"]));
-            for i in 0..n_left as u64 {
-                a.push(Record::new(RecordId(i)).with("title", key(i))).unwrap();
-            }
-            let mut b = Dataset::new("b", Schema::new(["title"]));
-            for i in 0..n_right as u64 {
-                b.push(Record::new(RecordId(1_000 + i)).with("title", key(31 + i))).unwrap();
-            }
-            let blocker = SortedNeighbourhoodBlocker::new("title", window);
-            let batch: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
-            let mut index = blocker.incremental();
-            let mut union: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-            for i in 0..a.len().max(b.len()) {
-                let l = a.records().get(i..i + 1).unwrap_or(&[]);
-                let r = b.records().get(i..i + 1).unwrap_or(&[]);
-                for pair in index.add_records(l, r) {
-                    prop_assert!(union.insert(pair), "pair emitted twice: {:?}", pair);
-                }
-            }
-            prop_assert!(union.is_superset(&batch));
         }
     }
 }

@@ -8,8 +8,10 @@
 //! * a library of string and numeric [`similarity`] functions (Levenshtein, Jaro,
 //!   Jaro-Winkler, Jaccard, overlap, Dice, TF-cosine, Monge-Elkan);
 //! * attribute-weighted [`aggregate`] similarity, with the paper's weighting rule
-//!   (weights proportional to the number of distinct attribute values);
-//! * [`blocking`] strategies to avoid the full cartesian product of record pairs,
+//!   (weights proportional to the number of distinct attribute values), and the
+//!   [`TokenCache`] memo of per-record token sequences that scoring and
+//!   blocking share;
+//! * token [`blocking`] to avoid the full cartesian product of record pairs,
 //!   including a hash-sharded incremental token index that parallelizes across
 //!   any [`parallel::ParallelExecutor`];
 //! * the [`workload`] model: similarity-scored instance pairs with ground-truth

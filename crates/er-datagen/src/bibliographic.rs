@@ -231,7 +231,9 @@ impl BibliographicGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::aggregate::{AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig};
+    use er_core::aggregate::{
+        AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig, TokenCache,
+    };
     use er_core::similarity::StringMeasure;
     use er_core::text::Tokenizer;
 
@@ -276,7 +278,7 @@ mod tests {
         for &(l, r) in &corpus.ground_truth {
             let a = corpus.left.get(l).unwrap();
             let b = corpus.right.get(r).unwrap();
-            match_sims.push(scorer.score(a, b));
+            match_sims.push(scorer.score(a, b, &TokenCache::new()));
         }
         let avg_match: f64 = match_sims.iter().sum::<f64>() / match_sims.len() as f64;
 
@@ -285,7 +287,7 @@ mod tests {
         for (i, a) in corpus.left.iter().enumerate().take(50) {
             let b = &corpus.right.records()[(i * 7) % corpus.right.len()];
             if !corpus.ground_truth.contains(&(a.id(), b.id())) {
-                nonmatch_sims.push(scorer.score(a, b));
+                nonmatch_sims.push(scorer.score(a, b, &TokenCache::new()));
             }
         }
         let avg_nonmatch: f64 = nonmatch_sims.iter().sum::<f64>() / nonmatch_sims.len() as f64;

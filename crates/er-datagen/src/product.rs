@@ -210,7 +210,9 @@ impl ProductGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::aggregate::{AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig};
+    use er_core::aggregate::{
+        AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig, TokenCache,
+    };
     use er_core::similarity::StringMeasure;
     use er_core::text::Tokenizer;
 
@@ -276,7 +278,11 @@ mod tests {
                 .ground_truth
                 .iter()
                 .map(|&(l, r)| {
-                    scorer.score(corpus.left.get(l).unwrap(), corpus.right.get(r).unwrap())
+                    scorer.score(
+                        corpus.left.get(l).unwrap(),
+                        corpus.right.get(r).unwrap(),
+                        &TokenCache::new(),
+                    )
                 })
                 .collect();
             sims.iter().sum::<f64>() / sims.len() as f64

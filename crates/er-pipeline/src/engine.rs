@@ -444,7 +444,7 @@ impl ResolutionEngine {
         self.cache.admit_scoring(&self.config.scoring, &left_batch, &right_batch);
         let delta = {
             let _block_span = obs.span("ingest.block");
-            self.index.add_records_with(&left_batch, &right_batch, &self.pool, Some(&self.cache))
+            self.index.add_records(&left_batch, &right_batch, &self.pool, &self.cache)
         };
         let (left_records, right_records) = (left_batch.len(), right_batch.len());
         for record in left_batch {
@@ -463,7 +463,7 @@ impl ResolutionEngine {
         let score_span = obs.span("ingest.score");
         let scorer = PairScorer::new(&self.config.scoring, &[&self.left, &self.right])?;
         let similarities =
-            self.pool.score_pairs_cached(&self.left, &self.right, &scorer, &self.cache, &delta)?;
+            self.pool.score_pairs(&self.left, &self.right, &scorer, &self.cache, &delta)?;
         drop(score_span);
         let mut new_pairs = Vec::new();
         for (&(l, r), similarity) in delta.iter().zip(similarities) {

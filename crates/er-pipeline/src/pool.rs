@@ -7,6 +7,10 @@
 //! deterministic and identical to the sequential map regardless of the thread
 //! count — parallelism changes wall-clock time, never values.
 //!
+//! [`WorkerPool::score_pairs`] is the one pair-scoring entry point: it takes
+//! the caller's [`TokenCache`] (the engine's ingest memo, or an empty cache)
+//! and feeds it to [`PairScorer::score`] on every worker.
+//!
 //! Chunks are *balanced*: the remaining work is re-divided at every split so
 //! chunk sizes differ by at most one. (The obvious `div_ceil` stride can leave
 //! the last worker nearly idle — 10 items over 4 workers strides as 3/3/3/1
@@ -99,28 +103,10 @@ impl WorkerPool {
     }
 
     /// Scores candidate record pairs in parallel, returning one similarity per
-    /// pair in input order.
+    /// pair in input order. Record token sets come from `cache` where
+    /// admitted; the similarities are bit-identical for any cache state, so a
+    /// caller without a memo passes an empty [`TokenCache`].
     pub fn score_pairs(
-        &self,
-        left: &Dataset,
-        right: &Dataset,
-        scorer: &PairScorer,
-        pairs: &[(RecordId, RecordId)],
-    ) -> Result<Vec<f64>> {
-        let scored = self.map(pairs, |&(l, r)| -> er_core::Result<f64> {
-            Ok(scorer.score(left.require(l)?, right.require(r)?))
-        });
-        let mut similarities = Vec::with_capacity(scored.len());
-        for s in scored {
-            similarities.push(s?);
-        }
-        Ok(similarities)
-    }
-
-    /// [`score_pairs`](WorkerPool::score_pairs) reading record token sets from
-    /// `cache` where admitted, so repeated scoring passes skip re-tokenizing.
-    /// Bit-identical to the uncached path for any cache state.
-    pub fn score_pairs_cached(
         &self,
         left: &Dataset,
         right: &Dataset,
@@ -129,7 +115,7 @@ impl WorkerPool {
         pairs: &[(RecordId, RecordId)],
     ) -> Result<Vec<f64>> {
         let scored = self.map(pairs, |&(l, r)| -> er_core::Result<f64> {
-            Ok(scorer.score_with_cache(left.require(l)?, right.require(r)?, cache))
+            Ok(scorer.score(left.require(l)?, right.require(r)?, cache))
         });
         let mut similarities = Vec::with_capacity(scored.len());
         for s in scored {
@@ -265,22 +251,21 @@ mod tests {
         let scorer = PairScorer::new(&config, &[&left, &right]).unwrap();
         let pairs: Vec<(RecordId, RecordId)> =
             left.iter().flat_map(|a| right.iter().map(move |b| (a.id(), b.id()))).collect();
-        let sequential = WorkerPool::new(1).score_pairs(&left, &right, &scorer, &pairs).unwrap();
-        for threads in [2, 4] {
-            let parallel =
-                WorkerPool::new(threads).score_pairs(&left, &right, &scorer, &pairs).unwrap();
-            assert_eq!(sequential, parallel);
-        }
+        let empty = TokenCache::new();
+        let sequential =
+            WorkerPool::new(1).score_pairs(&left, &right, &scorer, &empty, &pairs).unwrap();
         assert!((sequential[0] - 1.0).abs() < 1e-12);
-        // Cached scoring is bit-identical, warm or cold.
+        // Parallel scoring is bit-identical, with an admitted or an empty cache.
         let mut cache = TokenCache::new();
         cache.admit_left("title", Tokenizer::Words, left.records());
         cache.admit_right("title", Tokenizer::Words, right.records());
         for threads in [1, 2, 4] {
-            let cached = WorkerPool::new(threads)
-                .score_pairs_cached(&left, &right, &scorer, &cache, &pairs)
-                .unwrap();
-            assert_eq!(sequential, cached);
+            for cache in [&cache, &empty] {
+                let parallel = WorkerPool::new(threads)
+                    .score_pairs(&left, &right, &scorer, cache, &pairs)
+                    .unwrap();
+                assert_eq!(sequential, parallel, "threads = {threads}");
+            }
         }
     }
 
@@ -294,6 +279,7 @@ mod tests {
         );
         let scorer = PairScorer::new(&config, &[&left, &right]).unwrap();
         let bogus = vec![(RecordId(1), RecordId(10)), (RecordId(99), RecordId(10))];
-        assert!(WorkerPool::new(2).score_pairs(&left, &right, &scorer, &bogus).is_err());
+        let cache = TokenCache::new();
+        assert!(WorkerPool::new(2).score_pairs(&left, &right, &scorer, &cache, &bogus).is_err());
     }
 }

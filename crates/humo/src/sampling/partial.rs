@@ -814,26 +814,6 @@ impl PartialSamplingOptimizer {
         } else {
             0.0
         };
-        if std::env::var_os("HUMO_DEBUG").is_some() {
-            eprintln!(
-                "[humo-debug] sampled_subsets={} noise_scale={noise_scale:.5} scatter={scatter_detected} \
-                 diag_scale={diagonal_scale:.5} length_scale={:.4} signal_var={:.4} gp_noise={:.6}",
-                sampler.sampled_subset_count(),
-                gp.kernel().length_scale,
-                gp.kernel().signal_variance,
-                gp.noise_variance(),
-            );
-            let mut points: Vec<(f64, f64)> =
-                train_x.iter().copied().zip(train_y.iter().copied()).collect();
-            points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let tail: Vec<String> = points
-                .iter()
-                .rev()
-                .take(10)
-                .map(|(x, y)| format!("({x:.3},{y:.2}->{:.2})", gp.predict_mean(*x)))
-                .collect();
-            eprintln!("[humo-debug] top training points (x, observed->fit): {}", tail.join(" "));
-        }
         Ok((gp, diagonal_scale, st.used, st.prior_coords))
     }
 

@@ -568,20 +568,36 @@ enum PairIndex {
 }
 
 impl PairIndex {
-    fn build(workload: &Workload) -> Self {
+    /// Builds the lookup, rejecting a workload that repeats a pair id: the
+    /// index could map the id to one of its pairs only, so the other could
+    /// never be answered and the session would re-ask for it forever.
+    fn build(workload: &Workload) -> Result<Self> {
         let len = workload.len();
         let max_id = workload.iter().map(|pair| pair.id().0).max().unwrap_or(0);
         debug_assert!(len < u32::MAX as usize, "workloads keep well under 2^32 pairs");
+        let repeated = |id: PairId| {
+            HumoError::InvalidWorkload(format!(
+                "pair id {id} appears more than once in the workload"
+            ))
+        };
         if (max_id as usize) < 4 * len.max(256) {
             let mut table = vec![u32::MAX; max_id as usize + 1];
             for (index, pair) in workload.iter().enumerate() {
-                table[pair.id().0 as usize] = index as u32;
+                let slot = &mut table[pair.id().0 as usize];
+                if *slot != u32::MAX {
+                    return Err(repeated(pair.id()));
+                }
+                *slot = index as u32;
             }
-            PairIndex::Dense(table)
+            Ok(PairIndex::Dense(table))
         } else {
-            PairIndex::Sparse(
-                workload.iter().enumerate().map(|(index, pair)| (pair.id(), index)).collect(),
-            )
+            let mut map = HashMap::with_capacity(len);
+            for (index, pair) in workload.iter().enumerate() {
+                if map.insert(pair.id(), index).is_some() {
+                    return Err(repeated(pair.id()));
+                }
+            }
+            Ok(PairIndex::Sparse(map))
         }
     }
 
@@ -761,10 +777,13 @@ impl SessionState {
     /// which resolves every preload-vs-response conflict the same way the
     /// live arrival order did, because `absorb` never logs a pair that
     /// already has a label.
-    fn ensure_labels(&mut self, workload: &Workload) {
-        let index_of = self.index_of.get_or_insert_with(|| PairIndex::build(workload));
+    fn ensure_labels(&mut self, workload: &Workload) -> Result<()> {
+        if self.index_of.is_none() {
+            self.index_of = Some(PairIndex::build(workload)?);
+        }
+        let index_of = self.index_of.as_ref().expect("pair index built above");
         if self.labels.is_some() {
-            return;
+            return Ok(());
         }
         let mut labels: Vec<Option<Label>> = vec![None; workload.len()];
         for response in &self.log {
@@ -781,6 +800,7 @@ impl SessionState {
             }
         }
         self.labels = Some(labels);
+        Ok(())
     }
 
     /// Absorbs responses: unknown pairs are rejected, repeated labels for the
@@ -790,7 +810,7 @@ impl SessionState {
         if responses.is_empty() {
             return Ok(());
         }
-        self.ensure_labels(workload);
+        self.ensure_labels(workload)?;
         let index_of = self.index_of.as_ref().expect("pair index ensured above");
         let labels = self.labels.as_mut().expect("label store ensured above");
         // Validate the whole batch before recording anything, so a rejected
@@ -901,7 +921,7 @@ impl SessionState {
             return Ok(Step::Done(outcome.clone()));
         }
         self.absorb(workload, responses)?;
-        self.ensure_labels(workload);
+        self.ensure_labels(workload)?;
         let labels = self.labels.as_deref().expect("dense label store ensured above");
         let attempt = run_core(
             &self.config,
@@ -1475,5 +1495,29 @@ mod tests {
         // The all-human fallback accepts an empty workload (zero-round done).
         let mut session = LabelingSession::new(SessionConfig::AllHuman, &empty).unwrap();
         assert!(matches!(session.step(&[]).unwrap(), Step::Done(_)));
+    }
+
+    #[test]
+    fn repeated_pair_ids_are_rejected_instead_of_re_asked_forever() {
+        let pair =
+            |id: u64, similarity: f64| InstancePair::new(PairId(id), similarity, Label::Match);
+        let w = Workload::from_pairs(vec![pair(0, 0.2), pair(1, 0.5), pair(1, 0.8)]).unwrap();
+        let mut session = LabelingSession::new(SessionConfig::AllHuman, &w).unwrap();
+        let mut oracle = GroundTruthOracle::new();
+        let mut responses = Vec::new();
+        for _ in 0..5 {
+            match session.step(&responses) {
+                Ok(Step::NeedLabels(requests)) => {
+                    responses = answer_requests(&w, &requests, &mut oracle);
+                }
+                Ok(Step::Done(_)) => panic!("a workload with a repeated pair id completed"),
+                Err(HumoError::InvalidWorkload(message)) => {
+                    assert!(message.contains("pair id p1"), "{message}");
+                    return;
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
+        panic!("the session kept re-asking for the shadowed pair");
     }
 }
