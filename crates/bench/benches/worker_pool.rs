@@ -55,7 +55,7 @@ fn scoring(criterion: &mut Criterion) {
             &candidates,
             |bencher, pairs| {
                 bencher.iter(|| {
-                    pool.score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, pairs)
+                    pool.score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, pairs, 0.0)
                         .expect("scoring succeeds")
                 });
             },

@@ -20,7 +20,10 @@
 //!    full-refit path (from-scratch refits, cache disabled), with the two
 //!    arms asserted byte-identical;
 //! 6. **parallel scoring speedup**: the worker pool vs a single thread over the
-//!    full candidate set, plus the token-memo rate (pre-tokenized records);
+//!    full candidate set, plus the token-memo rate (pre-tokenized records)
+//!    and the threshold-pruned rate at the engine's similarity threshold,
+//!    whose kept pairs are asserted bit-identical to the unpruned ones at or
+//!    above it (with the fraction of candidates that skipped Jaro-Winkler);
 //! 7. **shard-parallel ingest scaling**: the full candidate indexing replayed
 //!    through a 1-shard serial index vs the default sharded index on the pool,
 //!    both reading the same token memo (deltas asserted identical).
@@ -79,6 +82,16 @@ use std::time::Instant;
 fn chunks<T: Clone>(items: &[T], batches: usize) -> Vec<Vec<T>> {
     let size = items.len().div_ceil(batches.max(1)).max(1);
     items.chunks(size).map(<[T]>::to_vec).collect()
+}
+
+/// Whether two scored-pair lists hold the same pairs in the same order with
+/// bit-identical similarities.
+fn same_pairs<'a>(
+    expected: impl Iterator<Item = &'a (RecordId, RecordId, f64)>,
+    got: &[(RecordId, RecordId, f64)],
+) -> bool {
+    let bits = |&(l, r, s): &(RecordId, RecordId, f64)| (l, r, s.to_bits());
+    expected.map(bits).eq(got.iter().map(bits))
 }
 
 fn scoring_config() -> ScoringConfig {
@@ -609,10 +622,10 @@ fn main() {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let start = Instant::now();
-            let sims = pool
-                .score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, &candidates)
+            let scored = pool
+                .score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, &candidates, 0.0)
                 .expect("scoring succeeds");
-            assert_eq!(sims.len(), candidates.len());
+            assert_eq!(scored.kept.len(), candidates.len());
             best = best.min(start.elapsed().as_secs_f64());
         }
         best
@@ -634,21 +647,22 @@ fn main() {
     // Token-memo scoring: the same parallel pass with every record's token
     // sequences pre-admitted (the engine's steady state — records are admitted
     // once, at ingest). Bit-identical by contract, faster because the
-    // token-based measures skip re-normalizing and re-tokenizing.
+    // token-based measures merge interned id sequences instead of
+    // re-normalizing and re-tokenizing.
     let mut token_cache = TokenCache::new();
     token_cache.admit_scoring(&scoring_config(), corpus.left.records(), corpus.right.records());
     let reference = pool
-        .score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, &candidates)
+        .score_pairs(&corpus.left, &corpus.right, &scorer, &no_memo, &candidates, 0.0)
         .expect("scoring");
     let mut tc = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        let sims = pool
-            .score_pairs(&corpus.left, &corpus.right, &scorer, &token_cache, &candidates)
+        let scored = pool
+            .score_pairs(&corpus.left, &corpus.right, &scorer, &token_cache, &candidates, 0.0)
             .expect("cached scoring succeeds");
         tc = tc.min(start.elapsed().as_secs_f64());
         assert!(
-            reference.iter().zip(&sims).all(|(a, b)| a.to_bits() == b.to_bits()),
+            same_pairs(reference.kept.iter(), &scored.kept),
             "cached scoring must be bit-identical to uncached scoring"
         );
     }
@@ -658,6 +672,30 @@ fn main() {
          [bit-identical]",
         1e3 * tc,
         candidates.len() as f64 / tc
+    );
+
+    // Threshold-aware pruning: scoring at the engine's similarity threshold
+    // skips the Jaro-Winkler venue measure wherever the token measures
+    // already bound the pair below it. It must keep exactly the reference's
+    // pairs at or above the threshold, with the same similarity bits.
+    let threshold = pipeline_config(threads, true).similarity_threshold;
+    let start = Instant::now();
+    let pruned = pool
+        .score_pairs(&corpus.left, &corpus.right, &scorer, &token_cache, &candidates, threshold)
+        .expect("pruned scoring succeeds");
+    let tp = start.elapsed().as_secs_f64();
+    assert!(
+        same_pairs(reference.kept.iter().filter(|p| p.2 >= threshold), &pruned.kept),
+        "pruned scoring must keep exactly the unpruned pairs at or above {threshold}"
+    );
+    println!(
+        "pruned at {threshold}: {:.1} ms, {} of {} candidates ({:.1}%) skipped Jaro-Winkler, \
+         {} kept [bit-identical]",
+        1e3 * tp,
+        pruned.pruned,
+        candidates.len(),
+        100.0 * pruned.pruned as f64 / candidates.len().max(1) as f64,
+        pruned.kept.len()
     );
 
     // Shard-parallel ingest scaling: replay the full candidate indexing through

@@ -7,18 +7,27 @@
 //! combines the scores with per-attribute weights, renormalizing over the
 //! attributes actually present on both records.
 //!
-//! [`PairScorer::score`] is the one scoring path. Its token-based measures
-//! read record token sequences from a [`TokenCache`] — the memo the
+//! [`PairScorer::score_bounded`] is the one scoring path, and
+//! [`PairScorer::score`] is its floor-0 case. Its token-based measures read
+//! interned, sorted token-id sequences from a [`TokenCache`] — the memo the
 //! resolution engine fills once per record at ingest and shares with
-//! blocking — and tokenize afresh whatever the cache lacks, so a caller with
-//! no memo passes an empty cache and gets bit-identical scores.
+//! blocking — and merge them without allocating. Whatever the cache lacks is
+//! tokenized afresh from the raw text, so a caller with no memo passes an
+//! empty cache and gets bit-identical scores.
+//!
+//! With a positive floor the scorer first evaluates the cheap measures
+//! (token-based and numeric) and bounds every character-based measure
+//! (Jaro–Winkler, Levenshtein, …) by 1. When that upper bound on the
+//! weighted score already falls below the floor, the expensive measures are
+//! skipped: the length-and-prefix filtering idea of AllPairs (Bayardo et
+//! al., WWW 2007) and PPJoin (Xiao et al., WWW 2008), applied to a weighted
+//! multi-attribute score. A pair that is not skipped is scored exactly as
+//! with floor 0.
 
 use crate::record::{Dataset, Record, RecordId};
+use crate::similarity::token::sorted_overlap;
 use crate::similarity::StringMeasure;
-use crate::similarity::{
-    absolute_difference_similarity, dice_similarity, jaccard_similarity, overlap_coefficient,
-    relative_difference_similarity, tf_cosine_similarity,
-};
+use crate::similarity::{absolute_difference_similarity, relative_difference_similarity};
 use crate::text::Tokenizer;
 use crate::{AttributeValue, ErError, Result};
 use std::collections::HashMap;
@@ -151,29 +160,82 @@ impl PairScorer {
     /// renormalized; if every attribute is missing the pair scores `0`.
     ///
     /// The token-based string measures (Jaccard, Dice, overlap, TF-cosine)
-    /// read memoized token sequences from `cache` — `a` on its left side, `b`
-    /// on its right side. Cached sequences are the exact `Tokenizer::tokenize`
-    /// output and feed the same similarity functions, and anything the cache
-    /// does not cover (records it never admitted, character-based or numeric
-    /// measures) is evaluated directly, so the score is bit-identical for any
-    /// cache state. A caller without a memo passes an empty [`TokenCache`].
+    /// merge the memoized token-id sequences of `cache` — `a` on its left
+    /// side, `b` on its right side — and anything the cache does not cover
+    /// (records it never admitted, character-based or numeric measures) is
+    /// evaluated directly on the attribute values, so the score is
+    /// bit-identical for any cache state. A caller without a memo passes an
+    /// empty [`TokenCache`].
     pub fn score(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
-        let mut weighted_sum = 0.0;
+        // Every attribute similarity is non-negative, so a floor of 0 never
+        // prunes.
+        self.score_bounded(a, b, cache, 0.0).unwrap_or(0.0)
+    }
+
+    /// [`PairScorer::score`] that may give up on pairs scoring below `floor`.
+    ///
+    /// The cheap measures (token-based and numeric) are evaluated first, and
+    /// each character-based measure present on both records is bounded by
+    /// `1`. When the weighted mean of that bound is below `floor` by more
+    /// than a rounding margin, the pair is *pruned*: `None` is returned and
+    /// the character-based measures never run. Otherwise the result is
+    /// `Some` of the exact [`PairScorer::score`] value, bit for bit, which may
+    /// still lie below `floor`.
+    pub fn score_bounded(
+        &self,
+        a: &Record,
+        b: &Record,
+        cache: &TokenCache,
+        floor: f64,
+    ) -> Option<f64> {
+        let mut inline = [None; INLINE_ATTRIBUTES];
+        let mut spilled;
+        let sims: &mut [Option<f64>] = match self.attributes.len() {
+            n if n <= INLINE_ATTRIBUTES => &mut inline[..n],
+            n => {
+                spilled = vec![None; n];
+                &mut spilled
+            }
+        };
+        // Pass 1: the cheap measures, and the presence of the deferred ones.
+        let mut bound = 0.0;
         let mut weight_total = 0.0;
-        for attr in &self.attributes {
-            if let Some(sim) = Self::eval_attribute(attr, a, b, cache) {
-                weighted_sum += attr.weight * sim;
+        let mut deferred = false;
+        for (attr, sim) in self.attributes.iter().zip(sims.iter_mut()) {
+            if attr.is_deferred() {
+                if a.get(&attr.name).as_text().is_some() && b.get(&attr.name).as_text().is_some() {
+                    deferred = true;
+                    bound += attr.weight;
+                    weight_total += attr.weight;
+                }
+            } else if let Some(s) = Self::eval_cheap(attr, a, b, cache) {
+                *sim = Some(s);
+                bound += attr.weight * s;
                 weight_total += attr.weight;
             }
         }
-        if weight_total == 0.0 {
-            0.0
-        } else {
-            (weighted_sum / weight_total).clamp(0.0, 1.0)
+        if deferred && bound / weight_total < floor - PRUNE_MARGIN {
+            return None;
         }
+        // Pass 2: the deferred measures, then the weighted sum in attribute
+        // order — the same additions, in the same order, for every floor.
+        let mut weighted_sum = 0.0;
+        for (attr, sim) in self.attributes.iter().zip(sims.iter()) {
+            let sim = if attr.is_deferred() {
+                attr.measure.eval(a.get(&attr.name), b.get(&attr.name))
+            } else {
+                *sim
+            };
+            if let Some(sim) = sim {
+                weighted_sum += attr.weight * sim;
+            }
+        }
+        Some(if weight_total == 0.0 { 0.0 } else { (weighted_sum / weight_total).clamp(0.0, 1.0) })
     }
 
-    fn eval_attribute(
+    /// Evaluates a token-based or numeric attribute, reading token ids from
+    /// `cache` when both records are admitted.
+    fn eval_cheap(
         attr: &WeightedAttribute,
         a: &Record,
         b: &Record,
@@ -184,26 +246,45 @@ impl PairScorer {
                 // Text presence mirrors `AttributeMeasure::eval` exactly.
                 let ta = a.get(&attr.name).as_text()?;
                 let tb = b.get(&attr.name).as_text()?;
-                let fresh_a;
-                let tokens_a: &[String] = match cache.left_tokens(&attr.name, tokenizer, a.id()) {
-                    Some(tokens) => tokens,
-                    None => {
-                        fresh_a = tokenizer.tokenize(ta);
-                        &fresh_a
+                let cached = cache.entry(&attr.name, tokenizer).and_then(|entry| {
+                    Some((entry.ids(SIDE_LEFT, a.id())?, entry.ids(SIDE_RIGHT, b.id())?))
+                });
+                return Some(match cached {
+                    Some((ids_a, ids_b)) => {
+                        let overlap = sorted_overlap(ids_a, ids_b);
+                        match measure {
+                            StringMeasure::Jaccard(_) => overlap.jaccard(),
+                            StringMeasure::Dice(_) => overlap.dice(),
+                            StringMeasure::Overlap(_) => overlap.overlap(),
+                            _ => overlap.cosine(),
+                        }
                     }
-                };
-                let fresh_b;
-                let tokens_b: &[String] = match cache.right_tokens(&attr.name, tokenizer, b.id()) {
-                    Some(tokens) => tokens,
-                    None => {
-                        fresh_b = tokenizer.tokenize(tb);
-                        &fresh_b
-                    }
-                };
-                return Some(eval_token_measure(measure, tokens_a, tokens_b));
+                    None => measure.eval(ta, tb),
+                });
             }
         }
         attr.measure.eval(a.get(&attr.name), b.get(&attr.name))
+    }
+}
+
+/// Attributes a scorer keeps per-pair scratch for on the stack.
+const INLINE_ATTRIBUTES: usize = 16;
+
+/// How far below the floor a bound must fall before a pair is pruned. The
+/// bound and the exact score sum the same few products in different orders,
+/// so they differ by a few ulps at most; this margin dwarfs that.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Cache side of the left-hand record of a scored pair.
+const SIDE_LEFT: usize = 0;
+/// Cache side of the right-hand record of a scored pair.
+const SIDE_RIGHT: usize = 1;
+
+impl WeightedAttribute {
+    /// Whether the measure is character-based: costly, bounded by `1` and
+    /// evaluated only when the cheap measures leave the floor reachable.
+    fn is_deferred(&self) -> bool {
+        matches!(self.measure, AttributeMeasure::Text(m) if token_based_tokenizer(m).is_none())
     }
 }
 
@@ -218,25 +299,16 @@ fn token_based_tokenizer(measure: StringMeasure) -> Option<Tokenizer> {
     }
 }
 
-/// Evaluates a token-based measure on pre-tokenized sequences — the same
-/// similarity functions `StringMeasure::eval` calls after tokenizing.
-fn eval_token_measure(measure: StringMeasure, a: &[String], b: &[String]) -> f64 {
-    match measure {
-        StringMeasure::Jaccard(_) => jaccard_similarity(a, b),
-        StringMeasure::Dice(_) => dice_similarity(a, b),
-        StringMeasure::Overlap(_) => overlap_coefficient(a, b),
-        StringMeasure::Cosine(_) => tf_cosine_similarity(a, b),
-        _ => unreachable!("eval_token_measure is only called for token-based measures"),
-    }
-}
-
 /// A memo of per-record token sequences, shared by blocking and scoring so
 /// repeated passes over the same records stop re-normalizing and re-tokenizing
 /// their attribute texts.
 ///
-/// Sequences are keyed by `(attribute, tokenizer, side, record id)` and hold
-/// the raw `Tokenizer::tokenize` output (duplicates included), so consumers
-/// observe exactly what a fresh tokenization would produce. Left and right
+/// Each `(attribute, tokenizer)` entry interns its tokens into a `u32`
+/// vocabulary shared by both sides and stores every admitted record's
+/// `Tokenizer::tokenize` output as an ascending id sequence, duplicates
+/// kept: set measures merge distinct ids, TF-cosine counts the runs, and
+/// blocking maps ids back to token text through the vocabulary. Sequences
+/// are keyed by `(attribute, tokenizer, side, record id)`; left and right
 /// sides are kept apart because the two datasets' record ids may collide. The
 /// cache trusts that an admitted record's text does not change afterwards —
 /// the resolution engine admits each record once, at ingest.
@@ -245,12 +317,40 @@ pub struct TokenCache {
     entries: Vec<TokenCacheEntry>,
 }
 
+/// The interned token sequences of one `(attribute, tokenizer)`.
 #[derive(Debug, Clone)]
-struct TokenCacheEntry {
+pub(crate) struct TokenCacheEntry {
     attribute: String,
     tokenizer: Tokenizer,
-    /// Token sequences by record id, index 0 = left side, 1 = right side.
-    sides: [HashMap<u64, Vec<String>>; 2],
+    /// Token text by id.
+    vocabulary: Vec<Box<str>>,
+    /// Token id by text.
+    ids: HashMap<Box<str>, u32>,
+    /// Ascending token-id sequences by record id, index 0 = left side, 1 = right side.
+    sides: [HashMap<u64, Box<[u32]>>; 2],
+}
+
+impl TokenCacheEntry {
+    /// The ascending token-id sequence of an admitted record.
+    pub(crate) fn ids(&self, side: usize, id: RecordId) -> Option<&[u32]> {
+        self.sides[side].get(&id.0).map(|ids| &ids[..])
+    }
+
+    /// The text of an interned token.
+    pub(crate) fn token(&self, id: u32) -> &str {
+        &self.vocabulary[id as usize]
+    }
+
+    fn intern(&mut self, token: String) -> u32 {
+        if let Some(&id) = self.ids.get(token.as_str()) {
+            return id;
+        }
+        let id = u32::try_from(self.vocabulary.len()).expect("token vocabulary exceeds u32 ids");
+        let token = token.into_boxed_str();
+        self.vocabulary.push(token.clone());
+        self.ids.insert(token, id);
+        id
+    }
 }
 
 impl TokenCache {
@@ -270,26 +370,33 @@ impl TokenCache {
                 self.entries.push(TokenCacheEntry {
                     attribute: attribute.to_string(),
                     tokenizer,
+                    vocabulary: Vec::new(),
+                    ids: HashMap::new(),
                     sides: [HashMap::new(), HashMap::new()],
                 });
                 self.entries.last_mut().expect("entry just pushed")
             }
         };
         for record in records {
-            if let Some(text) = record.text(attribute) {
-                entry.sides[side].entry(record.id().0).or_insert_with(|| tokenizer.tokenize(text));
+            let Some(text) = record.text(attribute) else { continue };
+            if entry.sides[side].contains_key(&record.id().0) {
+                continue;
             }
+            let mut ids: Vec<u32> =
+                tokenizer.tokenize(text).into_iter().map(|token| entry.intern(token)).collect();
+            ids.sort_unstable();
+            entry.sides[side].insert(record.id().0, ids.into_boxed_slice());
         }
     }
 
     /// Tokenizes and memoizes a batch of left-side records for an attribute.
     pub fn admit_left(&mut self, attribute: &str, tokenizer: Tokenizer, records: &[Record]) {
-        self.admit(attribute, tokenizer, 0, records);
+        self.admit(attribute, tokenizer, SIDE_LEFT, records);
     }
 
     /// Tokenizes and memoizes a batch of right-side records for an attribute.
     pub fn admit_right(&mut self, attribute: &str, tokenizer: Tokenizer, records: &[Record]) {
-        self.admit(attribute, tokenizer, 1, records);
+        self.admit(attribute, tokenizer, SIDE_RIGHT, records);
     }
 
     /// Admits left- and right-side batches for every *token-based* text
@@ -305,43 +412,14 @@ impl TokenCache {
         for (name, measure) in &config.attributes {
             let AttributeMeasure::Text(measure) = measure else { continue };
             let Some(tokenizer) = token_based_tokenizer(*measure) else { continue };
-            self.admit(name, tokenizer, 0, left_records);
-            self.admit(name, tokenizer, 1, right_records);
+            self.admit(name, tokenizer, SIDE_LEFT, left_records);
+            self.admit(name, tokenizer, SIDE_RIGHT, right_records);
         }
     }
 
-    fn tokens(
-        &self,
-        attribute: &str,
-        tokenizer: Tokenizer,
-        side: usize,
-        id: RecordId,
-    ) -> Option<&[String]> {
-        self.entries
-            .iter()
-            .find(|e| e.attribute == attribute && e.tokenizer == tokenizer)
-            .and_then(|e| e.sides[side].get(&id.0))
-            .map(Vec::as_slice)
-    }
-
-    /// The memoized token sequence of a left-side record, if admitted.
-    pub fn left_tokens(
-        &self,
-        attribute: &str,
-        tokenizer: Tokenizer,
-        id: RecordId,
-    ) -> Option<&[String]> {
-        self.tokens(attribute, tokenizer, 0, id)
-    }
-
-    /// The memoized token sequence of a right-side record, if admitted.
-    pub fn right_tokens(
-        &self,
-        attribute: &str,
-        tokenizer: Tokenizer,
-        id: RecordId,
-    ) -> Option<&[String]> {
-        self.tokens(attribute, tokenizer, 1, id)
+    /// The entry of an `(attribute, tokenizer)`, if anything was admitted for it.
+    pub(crate) fn entry(&self, attribute: &str, tokenizer: Tokenizer) -> Option<&TokenCacheEntry> {
+        self.entries.iter().find(|e| e.attribute == attribute && e.tokenizer == tokenizer)
     }
 
     /// Total number of memoized record token sequences across all entries.
@@ -355,6 +433,7 @@ mod tests {
     use super::*;
     use crate::record::{Record, RecordId, Schema};
     use crate::text::Tokenizer;
+    use proptest::prelude::*;
 
     fn paper_record(id: u64, title: &str, venue: &str) -> Record {
         Record::new(RecordId(id)).with("title", title).with("venue", venue)
@@ -543,6 +622,86 @@ mod tests {
                 for cache in [&admitted, &empty] {
                     let got = scorer.score(a, b, cache).to_bits();
                     assert_eq!(got, expected, "{:?} vs {:?}", a.id(), b.id());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_scoring_prunes_only_below_the_floor() {
+        let scorer = uniform_scorer(vec![
+            ("title", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),
+            ("venue", AttributeMeasure::Text(StringMeasure::JaroWinkler)),
+        ]);
+        let a = paper_record(1, "entity resolution", "vldb");
+        let b = paper_record(2, "graph systems", "vldb journal");
+        let cache = TokenCache::new();
+        // Disjoint titles bound the pair at (0 + 1) / 2.
+        assert_eq!(scorer.score_bounded(&a, &b, &cache, 0.6), None);
+        let exact = scorer.score(&a, &b, &cache);
+        assert_eq!(
+            scorer.score_bounded(&a, &b, &cache, 0.5).map(f64::to_bits),
+            Some(exact.to_bits())
+        );
+        // Without the deferred attribute there is nothing to skip.
+        let no_venue = Record::new(RecordId(3)).with("title", "graph systems");
+        assert_eq!(scorer.score_bounded(&a, &no_venue, &cache, 0.9), Some(0.0));
+    }
+
+    /// A text of the given attribute, unless `missing`.
+    fn text_record(id: u64, text: &str, missing: bool) -> Record {
+        let record = Record::new(RecordId(id));
+        if missing {
+            record
+        } else {
+            record.with("text", text)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn interned_id_kernels_equal_string_kernels(
+            l1 in "[abÉé .]{0,14}",
+            l2 in "[abÉé .]{0,14}",
+            r1 in "[abÉé .]{0,14}",
+            r2 in "[abÉé .]{0,14}",
+            missing in 0u32..16,
+            collide in 0u64..2,
+        ) {
+            // Right record ids collide with left ones (always for id 2, for id
+            // 1 when `collide` is set): the cache must keep the sides apart.
+            let lefts = vec![text_record(1, &l1, missing & 1 != 0), text_record(2, &l2, missing & 2 != 0)];
+            let rights = vec![
+                text_record(if collide == 1 { 1 } else { 3 }, &r1, missing & 4 != 0),
+                text_record(2, &r2, missing & 8 != 0),
+            ];
+            for tokenizer in [Tokenizer::Words, Tokenizer::QGrams(2)] {
+                for measure in [
+                    StringMeasure::Jaccard(tokenizer),
+                    StringMeasure::Dice(tokenizer),
+                    StringMeasure::Overlap(tokenizer),
+                    StringMeasure::Cosine(tokenizer),
+                ] {
+                    let config = ScoringConfig::new(
+                        [("text", AttributeMeasure::Text(measure))],
+                        AttributeWeighting::Uniform,
+                    );
+                    let scorer = PairScorer::new(&config, &[]).unwrap();
+                    let mut admitted = TokenCache::new();
+                    admitted.admit_scoring(&config, &lefts, &rights);
+                    for a in &lefts {
+                        for b in &rights {
+                            let expected = match (a.text("text"), b.text("text")) {
+                                (Some(ta), Some(tb)) => measure.eval(ta, tb),
+                                _ => 0.0,
+                            };
+                            let got = scorer.score(a, b, &admitted);
+                            prop_assert!(
+                                got.to_bits() == expected.to_bits(),
+                                "{measure:?} on {a:?} vs {b:?}: {got} != {expected}"
+                            );
+                        }
+                    }
                 }
             }
         }

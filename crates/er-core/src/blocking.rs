@@ -112,8 +112,9 @@ impl TokenBlocker {
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// The unique token set of one record, via the cache when admitted (`side`
-/// 0 = left, 1 = right) and by fresh tokenization otherwise. The flag reports
-/// whether the cache answered.
+/// 0 = left, 1 = right; cached ids map back to text through the vocabulary)
+/// and by fresh tokenization otherwise. The flag reports whether the cache
+/// answered.
 fn unique_record_tokens(
     attribute: &str,
     tokenizer: Tokenizer,
@@ -121,13 +122,11 @@ fn unique_record_tokens(
     side: usize,
     cache: &TokenCache,
 ) -> (BTreeSet<String>, bool) {
-    let cached = if side == 0 {
-        cache.left_tokens(attribute, tokenizer, record.id())
-    } else {
-        cache.right_tokens(attribute, tokenizer, record.id())
-    };
+    let cached = cache
+        .entry(attribute, tokenizer)
+        .and_then(|entry| Some((entry, entry.ids(side, record.id())?)));
     match cached {
-        Some(tokens) => (tokens.iter().cloned().collect(), true),
+        Some((entry, ids)) => (ids.iter().map(|&id| entry.token(id).to_string()).collect(), true),
         None => {
             let tokens = record
                 .text(attribute)

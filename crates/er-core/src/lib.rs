@@ -9,8 +9,9 @@
 //!   Jaro-Winkler, Jaccard, overlap, Dice, TF-cosine, Monge-Elkan);
 //! * attribute-weighted [`aggregate`] similarity, with the paper's weighting rule
 //!   (weights proportional to the number of distinct attribute values), and the
-//!   [`TokenCache`] memo of per-record token sequences that scoring and
-//!   blocking share;
+//!   [`TokenCache`] memo of per-record interned token-id sequences that
+//!   scoring and blocking share, and threshold-aware scoring that skips the
+//!   character-based measures of pairs bounded below a similarity floor;
 //! * token [`blocking`] to avoid the full cartesian product of record pairs,
 //!   including a hash-sharded incremental token index that parallelizes across
 //!   any [`parallel::ParallelExecutor`];

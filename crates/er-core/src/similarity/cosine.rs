@@ -1,32 +1,13 @@
 //! Term-frequency cosine similarity over token multisets.
 
-use crate::text::term_frequencies;
+use super::token::string_overlap;
 
 /// Cosine similarity between the term-frequency vectors of two token lists.
 ///
 /// Two empty token lists are considered identical (similarity `1`); an empty vs
 /// non-empty comparison scores `0`.
 pub fn tf_cosine_similarity<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let tf_a = term_frequencies(a);
-    let tf_b = term_frequencies(b);
-    let mut dot = 0.0;
-    for (token, &count_a) in &tf_a {
-        if let Some(&count_b) = tf_b.get(token) {
-            dot += count_a as f64 * count_b as f64;
-        }
-    }
-    let norm_a: f64 = tf_a.values().map(|&c| (c * c) as f64).sum::<f64>().sqrt();
-    let norm_b: f64 = tf_b.values().map(|&c| (c * c) as f64).sum::<f64>().sqrt();
-    if norm_a == 0.0 || norm_b == 0.0 {
-        return 0.0;
-    }
-    (dot / (norm_a * norm_b)).clamp(0.0, 1.0)
+    string_overlap(a, b).cosine()
 }
 
 #[cfg(test)]

@@ -6,13 +6,20 @@
 //! (for short attributes such as venue names) into a weighted pair similarity;
 //! the other measures are provided so downstream users can plug in whichever
 //! machine metric fits their data, as the framework is metric-agnostic.
+//!
+//! The token-based measures (Jaccard, Dice, overlap, TF-cosine) are formulas
+//! over the integer counts of one sort-merge of two sorted token sequences,
+//! shared by the string entry points here and by the interned id sequences
+//! of [`crate::aggregate::TokenCache`], so both give bit-identical values.
+//! Jaro and Jaro-Winkler compare short ASCII strings on stack buffers and
+//! everything else on `char` vectors, with the same arithmetic.
 
 mod cosine;
 mod edit;
 mod jaro;
 mod monge_elkan;
 mod numeric;
-mod token;
+pub(crate) mod token;
 
 pub use cosine::tf_cosine_similarity;
 pub use edit::{levenshtein_distance, levenshtein_similarity};

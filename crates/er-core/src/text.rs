@@ -5,25 +5,21 @@
 //! normalization mirrors what ER systems typically do before matching: lowercase,
 //! strip punctuation, collapse whitespace.
 
-use std::collections::BTreeMap;
-
 /// Lowercases, maps punctuation to spaces and collapses repeated whitespace.
 pub fn normalize(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
     let mut last_was_space = true;
     for ch in input.chars() {
-        let mapped = if ch.is_alphanumeric() { Some(ch.to_ascii_lowercase()) } else { None };
-        match mapped {
-            Some(c) => {
-                out.push(c);
-                last_was_space = false;
-            }
-            None => {
-                if !last_was_space {
-                    out.push(' ');
-                    last_was_space = true;
-                }
-            }
+        if ch.is_ascii_alphanumeric() {
+            out.push(ch.to_ascii_lowercase());
+            last_was_space = false;
+        } else if ch.is_alphanumeric() {
+            // Full Unicode lowercasing: "É" and "é" must tokenize alike.
+            out.extend(ch.to_lowercase());
+            last_was_space = false;
+        } else if !last_was_space {
+            out.push(' ');
+            last_was_space = true;
         }
     }
     while out.ends_with(' ') {
@@ -60,15 +56,6 @@ pub fn qgrams(input: &str, q: usize) -> Vec<String> {
     padded.windows(q).map(|w| w.iter().collect()).collect()
 }
 
-/// Counts token occurrences, producing a term-frequency map.
-pub fn term_frequencies<S: AsRef<str>>(tokens: &[S]) -> BTreeMap<String, usize> {
-    let mut tf = BTreeMap::new();
-    for t in tokens {
-        *tf.entry(t.as_ref().to_string()).or_insert(0) += 1;
-    }
-    tf
-}
-
 /// A tokenization strategy, used by token-based similarity functions and blockers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tokenizer {
@@ -100,6 +87,13 @@ mod tests {
     }
 
     #[test]
+    fn normalize_lowercases_beyond_ascii() {
+        assert_eq!(normalize("Élan ÜBER Straße"), "élan über straße");
+        assert_eq!(word_tokens("Élan"), word_tokens("élan"));
+        assert_eq!(qgrams("ÀB", 2), qgrams("àb", 2));
+    }
+
+    #[test]
     fn word_tokens_splits_on_whitespace() {
         assert_eq!(word_tokens("Data, Matching & Linkage"), vec!["data", "matching", "linkage"]);
         assert!(word_tokens("").is_empty());
@@ -118,14 +112,6 @@ mod tests {
         // With padding of q-1 on both sides, #grams = len + q - 1 for non-empty input.
         let grams = qgrams("abcd", 3);
         assert_eq!(grams.len(), 4 + 3 - 1);
-    }
-
-    #[test]
-    fn term_frequencies_counts_duplicates() {
-        let tf = term_frequencies(&["a", "b", "a", "c", "a"]);
-        assert_eq!(tf["a"], 3);
-        assert_eq!(tf["b"], 1);
-        assert_eq!(tf.len(), 3);
     }
 
     #[test]

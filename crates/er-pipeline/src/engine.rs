@@ -462,14 +462,17 @@ impl ResolutionEngine {
         }
         let score_span = obs.span("ingest.score");
         let scorer = PairScorer::new(&self.config.scoring, &[&self.left, &self.right])?;
-        let similarities =
-            self.pool.score_pairs(&self.left, &self.right, &scorer, &self.cache, &delta)?;
+        let scored = self.pool.score_pairs(
+            &self.left,
+            &self.right,
+            &scorer,
+            &self.cache,
+            &delta,
+            self.config.similarity_threshold,
+        )?;
         drop(score_span);
-        let mut new_pairs = Vec::new();
-        for (&(l, r), similarity) in delta.iter().zip(similarities) {
-            if similarity < self.config.similarity_threshold {
-                continue;
-            }
+        let mut new_pairs = Vec::with_capacity(scored.kept.len());
+        for (l, r, similarity) in scored.kept {
             let label = Label::from_bool(self.truth.contains(&(l, r)));
             new_pairs.push(InstancePair::with_records(
                 PairId(self.next_pair_id),
@@ -488,6 +491,7 @@ impl ResolutionEngine {
         self.candidate_count += delta.len();
         obs.counter("ingest.delta_candidates", delta.len() as u64);
         obs.counter("ingest.retained_pairs", retained as u64);
+        obs.counter("ingest.pruned_pairs", scored.pruned as u64);
         if obs.is_enabled() {
             obs.gauge("spill.workload.resident_pairs", self.workload.resident_pairs() as f64);
             obs.gauge("spill.workload.spilled_pairs", self.workload.spilled_pairs() as f64);

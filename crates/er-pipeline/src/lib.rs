@@ -10,9 +10,11 @@
 //! * [`engine::ResolutionEngine`] — ingest record batches through `er-core`'s
 //!   hash-sharded incremental blocking index (per-shard candidate deltas fan
 //!   out over the worker pool), score only the delta candidate pairs — with
-//!   per-record token sets memoized once at ingest
-//!   ([`er_core::aggregate::TokenCache`]) — and maintain the
-//!   similarity-sorted workload under insertion (`Workload::insert_sorted`);
+//!   per-record token ids memoized once at ingest
+//!   ([`er_core::aggregate::TokenCache`]), skipping the character-based
+//!   measures of pairs whose score bound is below the similarity threshold —
+//!   and maintain the similarity-sorted workload under insertion
+//!   (`Workload::insert_sorted`);
 //! * [`pool::WorkerPool`] — a hand-rolled `std::thread` chunk-sharded map used
 //!   for parallel pair scoring (the environment is offline, so no `rayon`),
 //!   with balanced chunk sizes and an
@@ -56,7 +58,7 @@ pub use engine::{
     ResolutionStep, SpillReport,
 };
 pub use error::PipelineError;
-pub use pool::WorkerPool;
+pub use pool::{ScoredPairs, WorkerPool};
 
 /// Convenience result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, PipelineError>;

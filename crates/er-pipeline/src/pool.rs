@@ -9,7 +9,11 @@
 //!
 //! [`WorkerPool::score_pairs`] is the one pair-scoring entry point: it takes
 //! the caller's [`TokenCache`] (the engine's ingest memo, or an empty cache)
-//! and feeds it to [`PairScorer::score`] on every worker.
+//! and a similarity floor, feeds both to [`PairScorer::score_bounded`] on
+//! every worker, and returns only the pairs at or above the floor. Pairs
+//! whose score bound falls below the floor skip their character-based
+//! measures; the kept pairs and their similarity bits are the same for any
+//! floor.
 //!
 //! Chunks are *balanced*: the remaining work is re-divided at every split so
 //! chunk sizes differ by at most one. (The obvious `div_ceil` stride can leave
@@ -82,30 +86,44 @@ impl WorkerPool {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        if self.threads <= 1 || items.len() < 2 {
-            return items.iter().map(&f).collect();
-        }
-        let mut results: Vec<Vec<U>> = Vec::with_capacity(self.threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.threads);
-            let mut rest = items;
-            for size in balanced_chunk_sizes(items.len(), self.threads) {
-                let (shard, tail) = rest.split_at(size);
-                rest = tail;
-                let f = &f;
-                handles.push(scope.spawn(move || shard.iter().map(f).collect::<Vec<U>>()));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("scoring worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
+        let chunks = self.map_chunks(items, |chunk| chunk.iter().map(&f).collect::<Vec<U>>());
+        chunks.into_iter().flatten().collect()
     }
 
-    /// Scores candidate record pairs in parallel, returning one similarity per
-    /// pair in input order. Record token sets come from `cache` where
-    /// admitted; the similarities are bit-identical for any cache state, so a
-    /// caller without a memo passes an empty [`TokenCache`].
+    /// Applies `f` to each balanced contiguous chunk of `items`, one chunk
+    /// per worker, returning the per-chunk results in input order. With one
+    /// thread (or a trivially small input) `f` runs inline on the whole
+    /// slice.
+    fn map_chunks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(&[T]) -> U + Sync,
+    {
+        if self.threads <= 1 || items.len() < 2 {
+            return vec![f(items)];
+        }
+        std::thread::scope(|scope| {
+            let mut rest = items;
+            let handles: Vec<_> = balanced_chunk_sizes(items.len(), self.threads)
+                .into_iter()
+                .map(|size| {
+                    let (shard, tail) = rest.split_at(size);
+                    rest = tail;
+                    let f = &f;
+                    scope.spawn(move || f(shard))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
+        })
+    }
+
+    /// Scores candidate record pairs in parallel with
+    /// [`PairScorer::score_bounded`] and keeps, in input order, those scoring
+    /// at least `floor`. Record token sets come from `cache` where admitted;
+    /// the kept pairs and their similarity bits are identical for any cache
+    /// state and any floor, so a caller without a memo passes an empty
+    /// [`TokenCache`], and `floor = 0.0` keeps (and fully scores) every pair.
     pub fn score_pairs(
         &self,
         left: &Dataset,
@@ -113,16 +131,37 @@ impl WorkerPool {
         scorer: &PairScorer,
         cache: &TokenCache,
         pairs: &[(RecordId, RecordId)],
-    ) -> Result<Vec<f64>> {
-        let scored = self.map(pairs, |&(l, r)| -> er_core::Result<f64> {
-            Ok(scorer.score(left.require(l)?, right.require(r)?, cache))
+        floor: f64,
+    ) -> Result<ScoredPairs> {
+        let chunks = self.map_chunks(pairs, |chunk| -> er_core::Result<ScoredPairs> {
+            let mut scored = ScoredPairs::default();
+            for &(l, r) in chunk {
+                match scorer.score_bounded(left.require(l)?, right.require(r)?, cache, floor) {
+                    None => scored.pruned += 1,
+                    Some(similarity) if similarity < floor => {}
+                    Some(similarity) => scored.kept.push((l, r, similarity)),
+                }
+            }
+            Ok(scored)
         });
-        let mut similarities = Vec::with_capacity(scored.len());
-        for s in scored {
-            similarities.push(s?);
+        let mut scored = ScoredPairs::default();
+        for chunk in chunks {
+            let chunk = chunk?;
+            scored.kept.extend(chunk.kept);
+            scored.pruned += chunk.pruned;
         }
-        Ok(similarities)
+        Ok(scored)
     }
+}
+
+/// The candidates of one [`WorkerPool::score_pairs`] call that survive its floor.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScoredPairs {
+    /// Pairs scoring at least the floor, in input order, with their similarity.
+    pub kept: Vec<(RecordId, RecordId, f64)>,
+    /// Pairs dropped by the score bound before their character-based
+    /// measures ran (a subset of the dropped pairs).
+    pub pruned: usize,
 }
 
 impl ParallelExecutor for WorkerPool {
@@ -176,6 +215,7 @@ mod tests {
     use er_core::record::{Record, Schema};
     use er_core::similarity::StringMeasure;
     use er_core::text::Tokenizer;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
@@ -253,8 +293,9 @@ mod tests {
             left.iter().flat_map(|a| right.iter().map(move |b| (a.id(), b.id()))).collect();
         let empty = TokenCache::new();
         let sequential =
-            WorkerPool::new(1).score_pairs(&left, &right, &scorer, &empty, &pairs).unwrap();
-        assert!((sequential[0] - 1.0).abs() < 1e-12);
+            WorkerPool::new(1).score_pairs(&left, &right, &scorer, &empty, &pairs, 0.0).unwrap();
+        assert_eq!(sequential.kept.len(), pairs.len());
+        assert!((sequential.kept[0].2 - 1.0).abs() < 1e-12);
         // Parallel scoring is bit-identical, with an admitted or an empty cache.
         let mut cache = TokenCache::new();
         cache.admit_left("title", Tokenizer::Words, left.records());
@@ -262,7 +303,7 @@ mod tests {
         for threads in [1, 2, 4] {
             for cache in [&cache, &empty] {
                 let parallel = WorkerPool::new(threads)
-                    .score_pairs(&left, &right, &scorer, cache, &pairs)
+                    .score_pairs(&left, &right, &scorer, cache, &pairs, 0.0)
                     .unwrap();
                 assert_eq!(sequential, parallel, "threads = {threads}");
             }
@@ -280,6 +321,96 @@ mod tests {
         let scorer = PairScorer::new(&config, &[&left, &right]).unwrap();
         let bogus = vec![(RecordId(1), RecordId(10)), (RecordId(99), RecordId(10))];
         let cache = TokenCache::new();
-        assert!(WorkerPool::new(2).score_pairs(&left, &right, &scorer, &cache, &bogus).is_err());
+        assert!(WorkerPool::new(2)
+            .score_pairs(&left, &right, &scorer, &cache, &bogus, 0.0)
+            .is_err());
+    }
+
+    /// Draws a value below `n` from a SplitMix64 stream.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// Two small bibliographic datasets drawn from `seed`, every attribute
+    /// missing about one time in five, so distinct-value weights and the set
+    /// of present attributes vary from case to case.
+    fn random_datasets(seed: u64) -> (Dataset, Dataset) {
+        const WORDS: [&str; 8] =
+            ["entity", "resolution", "graph", "stream", "quality", "crowd", "join", "index"];
+        const VENUES: [&str; 6] = ["vldb", "pvldb", "icde", "sigmod", "vldb j", "icde workshop"];
+        let mut state = seed;
+        let schema = Schema::new(["title", "authors", "venue", "year"]);
+        let mut sides = Vec::new();
+        for name in ["l", "r"] {
+            let mut ds = Dataset::new(name, schema.clone());
+            for id in 0..8 {
+                let mut record = Record::new(RecordId(id));
+                let words = |count: u64, state: &mut u64| -> String {
+                    let n = 1 + draw(state, count);
+                    let picked: Vec<&str> =
+                        (0..n).map(|_| WORDS[draw(state, WORDS.len() as u64) as usize]).collect();
+                    picked.join(" ")
+                };
+                if draw(&mut state, 5) != 0 {
+                    record = record.with("title", words(4, &mut state));
+                }
+                if draw(&mut state, 5) != 0 {
+                    record = record.with("authors", words(2, &mut state));
+                }
+                if draw(&mut state, 5) != 0 {
+                    let venue = VENUES[draw(&mut state, VENUES.len() as u64) as usize];
+                    record = record.with("venue", venue);
+                }
+                if draw(&mut state, 5) != 0 {
+                    record = record.with("year", 2000.0 + draw(&mut state, 10) as f64);
+                }
+                ds.push(record).unwrap();
+            }
+            sides.push(ds);
+        }
+        let right = sides.pop().unwrap();
+        (sides.pop().unwrap(), right)
+    }
+
+    proptest! {
+        #[test]
+        fn pruning_keeps_exactly_the_pairs_full_scoring_keeps(
+            seed in 0u64..u64::MAX,
+            threshold in 0.0f64..=1.0,
+        ) {
+            let (left, right) = random_datasets(seed);
+            let config = ScoringConfig::new(
+                [
+                    ("title", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),
+                    ("authors", AttributeMeasure::Text(StringMeasure::Cosine(Tokenizer::QGrams(2)))),
+                    ("venue", AttributeMeasure::Text(StringMeasure::JaroWinkler)),
+                    ("title", AttributeMeasure::Text(StringMeasure::Levenshtein)),
+                    ("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }),
+                ],
+                AttributeWeighting::DistinctValues,
+            );
+            let scorer = PairScorer::new(&config, &[&left, &right]).unwrap();
+            let mut cache = TokenCache::new();
+            cache.admit_scoring(&config, left.records(), right.records());
+            let pairs: Vec<(RecordId, RecordId)> =
+                left.iter().flat_map(|a| right.iter().map(move |b| (a.id(), b.id()))).collect();
+            let pool = WorkerPool::new(2);
+            let full = pool.score_pairs(&left, &right, &scorer, &cache, &pairs, 0.0).unwrap();
+            prop_assert_eq!(full.pruned, 0);
+            prop_assert_eq!(full.kept.len(), pairs.len());
+            let bits = |&(l, r, s): &(RecordId, RecordId, f64)| (l, r, s.to_bits());
+            for floor in [0.0, 1.0, threshold] {
+                let pruned =
+                    pool.score_pairs(&left, &right, &scorer, &cache, &pairs, floor).unwrap();
+                let expected: Vec<_> = full.kept.iter().filter(|p| p.2 >= floor).map(bits).collect();
+                let got: Vec<_> = pruned.kept.iter().map(bits).collect();
+                prop_assert_eq!(got, expected);
+                prop_assert!(pruned.pruned + pruned.kept.len() <= pairs.len());
+            }
+        }
     }
 }

@@ -324,11 +324,18 @@ impl<'a> LabelSlate<'a> {
     ) -> Drive<()> {
         let mut missing: Vec<usize> = Vec::new();
         // Indices and pair ids are in bijection within a workload, so
-        // index-level dedup is id-level dedup without the hashing.
-        let mut seen = vec![false; self.labels.len()];
+        // index-level dedup is id-level dedup without the hashing. One bit
+        // per workload position keeps the per-call scratch at 1/64 of the
+        // workload, which matters because replays call this once per
+        // suspension point.
+        let mut seen = vec![0u64; self.labels.len().div_ceil(64)];
         for index in indices {
-            if self.labels[index].is_none() && !std::mem::replace(&mut seen[index], true) {
-                missing.push(index);
+            if self.labels[index].is_none() {
+                let (word, bit) = (index / 64, 1u64 << (index % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    missing.push(index);
+                }
             }
         }
         if missing.is_empty() {
